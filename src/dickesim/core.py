@@ -22,6 +22,30 @@ MAX_EXACT_EMITTERS = 20
 NORM_TOL = 1e-12
 
 
+def check_order(n_emitters: int, order_m: int) -> None:
+    """Reject a correlation order outside 1..N."""
+    if not 1 <= order_m <= n_emitters:
+        raise ValueError(f"order must lie in 1..{n_emitters}, got {order_m}")
+
+
+def _dense_dim(n_emitters: int) -> int:
+    # Checked before anything of size 2**N is allocated.
+    if not 1 <= n_emitters <= MAX_EXACT_EMITTERS:
+        raise ValueError(
+            f"exact engine handles 1..{MAX_EXACT_EMITTERS} emitters, got {n_emitters}"
+        )
+    return 1 << n_emitters
+
+
+def _finite_angles(values) -> tuple[float, ...]:
+    angles = tuple(float(a) for a in values)
+    if not angles:
+        raise ValueError("need at least one detector")
+    if not all(map(math.isfinite, angles)):
+        raise ValueError(f"detector angles must be finite, got {angles}")
+    return angles
+
+
 @dataclass(frozen=True)
 class EmitterGeometry:
     """Linear chain of emitters with dimensionless spacing kd = (2*pi/lambda)*d."""
@@ -32,8 +56,8 @@ class EmitterGeometry:
     def __post_init__(self):
         if self.n_emitters < 1:
             raise ValueError(f"need at least one emitter, got {self.n_emitters}")
-        if not self.kd > 0:
-            raise ValueError(f"kd must be positive, got {self.kd}")
+        if not (self.kd > 0 and math.isfinite(self.kd)):
+            raise ValueError(f"kd must be positive and finite, got {self.kd}")
 
     def phase_of(self, emitter: int, theta: float) -> float:
         """Optical phase picked up by a photon from emitter l toward angle theta."""
@@ -43,10 +67,6 @@ class EmitterGeometry:
             )
         return emitter * self.kd * math.sin(theta)
 
-    def phases(self, theta: float) -> np.ndarray:
-        """Phases of all emitters toward angle theta, as an array of length N."""
-        return np.arange(1, self.n_emitters + 1) * (self.kd * math.sin(theta))
-
 
 @dataclass(frozen=True)
 class DetectorList:
@@ -55,10 +75,7 @@ class DetectorList:
     angles: tuple[float, ...]
 
     def __post_init__(self):
-        angles = tuple(float(a) for a in self.angles)
-        if len(angles) < 1:
-            raise ValueError("need at least one detector")
-        object.__setattr__(self, "angles", angles)
+        object.__setattr__(self, "angles", _finite_angles(self.angles))
 
     @classmethod
     def coincident(cls, theta1: float, order_m: int, theta2: float) -> "DetectorList":
@@ -78,10 +95,7 @@ def as_angles(detectors) -> tuple[float, ...]:
     """Accept a DetectorList or any iterable of angles."""
     if isinstance(detectors, DetectorList):
         return detectors.angles
-    angles = tuple(float(a) for a in detectors)
-    if not angles:
-        raise ValueError("need at least one detector")
-    return angles
+    return _finite_angles(detectors)
 
 
 @dataclass(frozen=True)
@@ -92,15 +106,11 @@ class StateVector:
     n_emitters: int
 
     def __post_init__(self):
-        n = self.n_emitters
-        if not 1 <= n <= MAX_EXACT_EMITTERS:
-            raise ValueError(
-                f"exact engine handles 1..{MAX_EXACT_EMITTERS} emitters, got {n}"
-            )
+        dim = _dense_dim(self.n_emitters)
         amps = np.array(self.amplitudes, dtype=np.complex128, copy=True)
-        if amps.shape != (1 << n,):
+        if amps.shape != (dim,):
             raise ValueError(
-                f"amplitude vector has shape {amps.shape}, expected ({1 << n},)"
+                f"amplitude vector has shape {amps.shape}, expected ({dim},)"
             )
         amps.flags.writeable = False
         object.__setattr__(self, "amplitudes", amps)
@@ -108,8 +118,8 @@ class StateVector:
     def norm_sq(self) -> float:
         return float(np.vdot(self.amplitudes, self.amplitudes).real)
 
-    def is_normalized(self, tol: float = NORM_TOL) -> bool:
-        return abs(self.norm_sq() - 1.0) <= tol
+    def is_normalized(self) -> bool:
+        return abs(self.norm_sq() - 1.0) <= NORM_TOL
 
     def normalized(self) -> "StateVector":
         n2 = self.norm_sq()
@@ -125,10 +135,8 @@ class StateVector:
 
 def fully_excited(n_emitters: int) -> StateVector:
     """All emitters excited: the uncorrelated starting state of every scan."""
-    if n_emitters < 1:
-        raise ValueError(f"need at least one emitter, got {n_emitters}")
-    amps = np.zeros(1 << n_emitters, dtype=np.complex128)
-    amps[(1 << n_emitters) - 1] = 1.0
+    amps = np.zeros(_dense_dim(n_emitters), dtype=np.complex128)
+    amps[-1] = 1.0
     return StateVector(amps, n_emitters)
 
 
@@ -146,21 +154,19 @@ def dicke_state(n_emitters: int, n_ground: int) -> StateVector:
         raise ValueError(
             f"n_ground must lie in 0..{n_emitters}, got {n_ground}"
         )
-    dim = 1 << n_emitters
-    n_excited = n_emitters - n_ground
-    amp = 1.0 / math.sqrt(math.comb(n_emitters, n_ground))
+    dim = _dense_dim(n_emitters)
     amps = np.zeros(dim, dtype=np.complex128)
-    for b in range(dim):
-        if b.bit_count() == n_excited:
-            amps[b] = amp
+    amps[np.bitwise_count(np.arange(dim)) == n_emitters - n_ground] = (
+        1.0 / math.sqrt(math.comb(n_emitters, n_ground))
+    )
     return StateVector(amps, n_emitters)
 
 
 def timed_dicke_state(geometry: EmitterGeometry, theta1: float) -> StateVector:
     """Single de-excitation with detection-direction phase tags on each emitter."""
     n = geometry.n_emitters
-    full = (1 << n) - 1
-    amps = np.zeros(1 << n, dtype=np.complex128)
+    amps = np.zeros(_dense_dim(n), dtype=np.complex128)
+    full = amps.size - 1
     for l in range(1, n + 1):
         amps[full ^ (1 << (l - 1))] = cmath.exp(-1j * geometry.phase_of(l, theta1))
     return StateVector(amps / math.sqrt(n), n)
@@ -175,14 +181,12 @@ def apply_field(geometry: EmitterGeometry, theta: float, state: StateVector) -> 
     n = state.n_emitters
     if geometry.n_emitters != n:
         raise ValueError("geometry and state disagree on emitter count")
-    dim = 1 << n
-    idx = np.arange(dim)
-    out = np.zeros(dim, dtype=np.complex128)
-    amps = state.amplitudes
+    out = np.zeros(1 << n, dtype=np.complex128)
     for l in range(1, n + 1):
-        bit = 1 << (l - 1)
-        src = idx[(idx & bit) != 0]
-        out[src ^ bit] += cmath.exp(-1j * geometry.phase_of(l, theta)) * amps[src]
+        # Axis 1 of these views is bit (l-1): lower emitter l where it is excited.
+        src = state.amplitudes.reshape(-1, 2, 1 << (l - 1))
+        dst = out.reshape(-1, 2, 1 << (l - 1))
+        dst[:, 0] += cmath.exp(-1j * geometry.phase_of(l, theta)) * src[:, 1]
     return StateVector(out, n)
 
 

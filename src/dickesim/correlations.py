@@ -19,10 +19,10 @@ import numpy as np
 from .core import (
     DetectorList,
     EmitterGeometry,
-    MAX_EXACT_EMITTERS,
     StateVector,
     apply_field,
     as_angles,
+    check_order,
     fully_excited,
 )
 
@@ -44,8 +44,6 @@ def g_m_exact(geometry: EmitterGeometry, detectors, state: StateVector) -> float
     the image.  Exactly 0 when m exceeds the number of excitations.
     """
     angles = as_angles(detectors)
-    if state.n_emitters > MAX_EXACT_EMITTERS:
-        raise ValueError("emitter count beyond the exact-engine cap")
     if not state.is_normalized():
         raise ValueError("g_m_exact requires a normalized state")
     current = state
@@ -105,19 +103,14 @@ def interference_kernel(n_emitters: int, phase_x: float) -> float:
 
 
 def _count_prefactor(n: int, m: int) -> float:
-    # N! (m-1)! / (N-m)!; exact integers, log-gamma only if float() overflows
-    value = math.factorial(n) * math.factorial(m - 1) // math.factorial(n - m)
-    try:
-        return float(value)
-    except OverflowError:
-        return math.exp(math.lgamma(n + 1) + math.lgamma(m) - math.lgamma(n - m + 1))
+    # N! (m-1)! / (N-m)! in exact integers; float() raises OverflowError past 1.8e308
+    return float(math.factorial(n) * math.factorial(m - 1) // math.factorial(n - m))
 
 
 def g_m_closed_coincident(n_emitters: int, order_m: int, phase_x: float) -> float:
     """Analytic G(m) for (m-1) coincident detectors vs. inter-detector phase x."""
     n, m = n_emitters, order_m
-    if not 1 <= m <= n:
-        raise ValueError(f"order must lie in 1..{n}, got {m}")
+    check_order(n, m)
     if n == 1:
         return 1.0
     kernel = interference_kernel(n, phase_x)
@@ -158,19 +151,8 @@ def peak_width_estimate(n_emitters: int, kd: float) -> float:
 def angular_average_gm(n_emitters: int, order_m: int) -> float:
     """Mean of the coincident-detector correlation over one phase period."""
     n, m = n_emitters, order_m
-    if not 1 <= m <= n:
-        raise ValueError(f"order must lie in 1..{n}, got {m}")
-    value = math.factorial(m - 1) ** 2 * math.comb(n, m - 1) * (n - m + 1)
-    try:
-        return float(value)
-    except OverflowError:
-        return math.exp(
-            2 * math.lgamma(m)
-            + math.lgamma(n + 1)
-            - math.lgamma(m)
-            - math.lgamma(n - m + 2)
-            + math.log(n - m + 1)
-        )
+    check_order(n, m)
+    return float(math.factorial(m - 1) ** 2 * math.comb(n, m - 1) * (n - m + 1))
 
 
 @dataclass(frozen=True)
@@ -181,10 +163,6 @@ class CorrelationCurve:
     phase_x: np.ndarray
     values: np.ndarray
     method: str
-    n_emitters: int
-    order_m: int
-    theta1: float
-    kd: float
 
 
 @dataclass(frozen=True)
@@ -206,18 +184,23 @@ def scan_curve(
     """Evaluate G(m) with (m-1) detectors at theta1 over a theta2 grid.
 
     Each grid point is computed independently; tiny negative rounding
-    residues (>= -1e-9) are clamped to zero in the stored curve.
+    residues (>= -1e-9) are clamped to zero in the stored curve.  Non-finite
+    inputs, and values that overflow a float, raise ValueError.
     """
     if method not in METHODS:
         raise ValueError(f"unknown method {method!r}, expected one of {METHODS}")
+    if not math.isfinite(theta1):
+        raise ValueError(f"theta1 must be finite, got {theta1}")
     grid = np.asarray(theta2_grid, dtype=float)
     if grid.ndim != 1 or grid.size == 0:
         raise ValueError("theta2 grid must be a non-empty 1-d sequence")
+    if not np.isfinite(grid).all():
+        bad = np.unique(grid[~np.isfinite(grid)])
+        raise ValueError(f"theta2 grid must be finite, got {bad.tolist()}")
     if grid.size > 1 and not np.all(np.diff(grid) > 0):
         raise ValueError("theta2 grid must be strictly increasing")
     n = geometry.n_emitters
-    if not 1 <= order_m <= n:
-        raise ValueError(f"order must lie in 1..{n}, got {order_m}")
+    check_order(n, order_m)
 
     phase_x = geometry.kd * (math.sin(theta1) - np.sin(grid))
 
@@ -241,6 +224,8 @@ def scan_curve(
             poly = build_functional(geometry, [theta1, float(theta2)])
             values[i] = extract_gm(poly, (order_m - 1, 1))
 
+    if not np.isfinite(values).all():
+        raise ValueError(f"method {method} produced a non-finite value (float overflow)")
     if values.min() < -1e-9:
         raise ValueError(
             f"method {method} produced {values.min()}, beyond rounding residue"
@@ -251,10 +236,6 @@ def scan_curve(
         phase_x=phase_x,
         values=values,
         method=method,
-        n_emitters=n,
-        order_m=order_m,
-        theta1=float(theta1),
-        kd=geometry.kd,
     )
 
 

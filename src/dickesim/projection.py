@@ -17,6 +17,7 @@ from .core import (
     EmitterGeometry,
     StateVector,
     apply_field,
+    check_order,
     dicke_state,
     fully_excited,
     intensity,
@@ -25,6 +26,13 @@ from .correlations import g_m_exact, interference_kernel
 
 # Weights below this are treated as an impossible detection event.
 ZERO_WEIGHT_TOL = 1e-12
+# Floor on the normalization scale of rel_dev: at a 1e-9 tolerance this admits
+# an absolute discrepancy of 1e-12 for near-zero values (fringe minima).
+SCALE_FLOOR = 1e-3
+
+
+def rel_dev(a: float, b: float) -> float:
+    return abs(a - b) / max(abs(a), abs(b), SCALE_FLOOR)
 
 
 class ImpossibleDetection(RuntimeError):
@@ -105,18 +113,12 @@ class FactorizationReport:
     max_rel_deviation: float
 
 
-def _rel_dev(a: float, b: float, scale_floor: float = 1e-3) -> float:
-    # scale floor keeps fringe minima comparable in absolute terms
-    return abs(a - b) / max(abs(a), abs(b), scale_floor)
-
-
 def verify_factorization(
     geometry: EmitterGeometry, order_m: int, theta1: float, theta2: float
 ) -> FactorizationReport:
     """Check that conditioning factorizes the m-fold correlation."""
     n = geometry.n_emitters
-    if not 1 <= order_m <= n:
-        raise ValueError(f"order must lie in 1..{n}, got {order_m}")
+    check_order(n, order_m)
     state = fully_excited(n)
 
     detectors = DetectorList.coincident(theta1, order_m, theta2)
@@ -132,7 +134,7 @@ def verify_factorization(
 
     candidates = [direct, cascade] + ([dicke] if dicke is not None else [])
     max_dev = max(
-        _rel_dev(a, b)
+        rel_dev(a, b)
         for i, a in enumerate(candidates)
         for b in candidates[i + 1 :]
     )
@@ -144,8 +146,7 @@ def verify_factorization(
 def dicke_intensity_closed(n_emitters: int, order_m: int, phase: float) -> float:
     """Radiated intensity of the symmetric Dicke state with m-1 emitters down."""
     n, m = n_emitters, order_m
-    if not 1 <= m <= n:
-        raise ValueError(f"order must lie in 1..{n}, got {m}")
+    check_order(n, m)
     if n == 1:
         return 1.0
     kernel = interference_kernel(n, phase)

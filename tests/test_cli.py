@@ -1,9 +1,11 @@
 import json
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 
+import dickesim.verify
 from dickesim.cli import main
 
 
@@ -101,16 +103,91 @@ def test_verify_passes(capsys):
     assert out.count("PASS") == 5
 
 
-def test_verify_detects_injected_fault(capsys):
-    code = run(
-        ["--verify", "--n-atoms", "4", "--tuples", "5", "--seed", "1",
-         "--inject-fault"]
-    )
+def test_verify_detects_injected_fault(capsys, monkeypatch):
+    # Plant the fault in the path-sum route only: it negates the first angle.
+    original = dickesim.verify.g_m_pathsum
+
+    def flipped(geometry, angles, **kwargs):
+        angles = tuple(angles)
+        return original(geometry, (-angles[0],) + angles[1:], **kwargs)
+
+    monkeypatch.setattr(dickesim.verify, "g_m_pathsum", flipped)
+    code = run(["--verify", "--n-atoms", "4", "--tuples", "5", "--seed", "1"])
     out = capsys.readouterr().out
     assert code == 1
     assert "FAIL" in out
     assert "worst case" in out
 
 
+def test_inject_fault_flag_is_gone(capsys):
+    with pytest.raises(SystemExit) as exc:
+        run(["--verify", "--inject-fault"])
+    assert exc.value.code == 2
+
+
 def test_verify_rejects_single_atom():
     assert run(["--verify", "--n-atoms", "1"]) == 2
+
+
+@pytest.mark.parametrize(
+    "args, bad",
+    [
+        (["--theta1", "nan"], "nan"),
+        (["--kd", "inf"], "inf"),
+        (["--kd", "nan"], "nan"),
+        (["--theta2-min=-inf"], "inf"),
+        (["--theta2-max", "nan"], "nan"),
+        (["--theta2-max", "inf"], "inf"),
+        (["--theta1", "inf", "--method", "exact"], "inf"),
+        (["--verify", "--kd", "inf"], "inf"),
+    ],
+    ids=["theta1-nan", "kd-inf", "kd-nan", "theta2-min-inf", "theta2-max-nan",
+         "theta2-max-inf", "exact-theta1-inf", "verify-kd-inf"],
+)
+def test_non_finite_input_exits_2_naming_the_value(args, bad, capsys):
+    assert run(args) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error:")
+    assert bad in err
+
+
+def test_dense_cap_checked_before_allocation(capsys):
+    tracemalloc.start()
+    try:
+        code = run(["--n-atoms", "24", "--method", "exact"])
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert code == 2
+    assert "1..20 emitters, got 24" in capsys.readouterr().err
+    assert peak < 1 << 20
+
+
+def test_oversized_exact_scan_exits_2(capsys):
+    assert run(["--n-atoms", "40", "--method", "exact"]) == 2
+    assert "got 40" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "n, m, message",
+    [
+        (200, 100, "too large"),  # the integer count itself does not fit a float
+        (152, 87, "non-finite"),  # the count fits, the value at the fringe peak is inf
+    ],
+    ids=["count-overflow", "value-overflow"],
+)
+def test_closed_form_overflow_exits_2(n, m, message, capsys):
+    assert run(["--n-atoms", str(n), "--order", str(m), "--method", "closed"]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and message in err
+
+
+def test_json_is_strict_when_first_zero_is_undefined(tmp_path):
+    out = tmp_path / "scan.json"
+    assert run(["--n-atoms", "4", "--order", "1", "--format", "json", "--out", str(out)]) == 0
+
+    def reject(constant):
+        raise ValueError(f"non-standard JSON constant {constant}")
+
+    payload = json.loads(out.read_text(encoding="utf-8"), parse_constant=reject)
+    assert payload["summary"]["first_zero_phase"] is None

@@ -4,7 +4,9 @@ import math
 import numpy as np
 import pytest
 
+import dickesim.core
 from dickesim import (
+    DetectorList,
     EmitterGeometry,
     StateVector,
     apply_field,
@@ -14,6 +16,7 @@ from dickesim import (
     timed_dicke_state,
     two_atom_delta_state,
 )
+from dickesim.core import as_angles, check_order
 
 KD = 2 * math.pi
 
@@ -42,6 +45,45 @@ def test_geometry_validation():
         EmitterGeometry(0, 1.0)
     with pytest.raises(ValueError):
         EmitterGeometry(2, 0.0)
+    for kd in (math.inf, math.nan):
+        with pytest.raises(ValueError, match="finite"):
+            EmitterGeometry(2, kd)
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+def test_detector_angles_must_be_finite(bad):
+    with pytest.raises(ValueError, match="finite"):
+        DetectorList((0.1, bad))
+    with pytest.raises(ValueError, match="finite"):
+        as_angles([bad])
+    with pytest.raises(ValueError, match="finite"):
+        DetectorList.coincident(bad, 3, 0.2)
+
+
+def test_check_order():
+    check_order(3, 1)
+    check_order(3, 3)
+    for m in (0, 4):
+        with pytest.raises(ValueError, match="order must lie in 1..3"):
+            check_order(3, m)
+
+
+@pytest.mark.parametrize(
+    "build",
+    [
+        lambda n: fully_excited(n),
+        lambda n: dicke_state(n, 1),
+        lambda n: timed_dicke_state(EmitterGeometry(n, KD), 0.3),
+    ],
+    ids=["fully_excited", "dicke_state", "timed_dicke_state"],
+)
+def test_dense_cap_checked_before_allocation(build, monkeypatch):
+    def refuse(*args, **kwargs):
+        raise AssertionError("allocated a dense register beyond the cap")
+
+    monkeypatch.setattr(dickesim.core.np, "zeros", refuse)
+    with pytest.raises(ValueError, match="1..20 emitters, got 21"):
+        build(21)
 
 
 def test_fully_excited():

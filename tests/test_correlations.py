@@ -220,6 +220,14 @@ class TestScanAndSummary:
         with pytest.raises(ValueError):
             scan_curve(g, 2, 0.0, [0.0, 0.1], "magic")
 
+    def test_non_finite_angles_rejected(self):
+        # The functional route would otherwise turn a NaN angle into a NaN curve.
+        g = EmitterGeometry(3, KD)
+        with pytest.raises(ValueError, match="theta1 must be finite, got nan"):
+            scan_curve(g, 2, math.nan, [0.0, 0.1], "functional")
+        with pytest.raises(ValueError, match=r"theta2 grid must be finite, got \[inf\]"):
+            scan_curve(g, 2, 0.0, [0.0, math.inf], "functional")
+
     def test_pathsum_budget_propagates(self):
         g = EmitterGeometry(6, KD)
         with pytest.raises(PathBudgetExceeded):
