@@ -25,6 +25,10 @@ from .correlations import (
 from .verify import run_all
 
 
+# Largest theta2 grid a scan builds: 1e7 points is 80 MB per float array.
+MAX_THETA2_STEPS = 10**7
+
+
 @dataclass(frozen=True)
 class RunConfig:
     n_emitters: int
@@ -40,8 +44,10 @@ class RunConfig:
 
     def validate(self):
         # N, order and kd are checked by the library, method and format by argparse.
-        if self.theta2_steps < 2:
-            raise ValueError(f"--theta2-steps must be >= 2, got {self.theta2_steps}")
+        if not 2 <= self.theta2_steps <= MAX_THETA2_STEPS:
+            raise ValueError(
+                f"--theta2-steps must lie in 2..{MAX_THETA2_STEPS}, got {self.theta2_steps}"
+            )
         if not -math.inf < self.theta2_min < self.theta2_max < math.inf:
             raise ValueError(
                 "need finite --theta2-min < --theta2-max, "

@@ -8,11 +8,12 @@ coefficient readout: no numerics beyond complex accumulation enter.
 """
 from __future__ import annotations
 
-import cmath
 from dataclasses import dataclass
 from math import factorial
 from types import MappingProxyType
 from typing import Mapping, Sequence
+
+import numpy as np
 
 from .core import EmitterGeometry
 
@@ -40,18 +41,15 @@ class FormalPolynomial:
         return self.terms.get(key, 0.0 + 0.0j)
 
 
-def _multiply(
-    terms: dict[ExponentKey, complex], factor: dict[ExponentKey, complex]
-) -> dict[ExponentKey, complex]:
-    out: dict[ExponentKey, complex] = {}
-    for (ta, tb), tc in terms.items():
-        for (fa, fb), fc in factor.items():
-            key = (
-                tuple(x + y for x, y in zip(ta, fa)),
-                tuple(x + y for x, y in zip(tb, fb)),
-            )
-            out[key] = out.get(key, 0.0 + 0.0j) + tc * fc
-    return out
+def _compositions(degree: int, k: int) -> list[tuple[int, ...]]:
+    """All k-tuples of nonnegative integers that sum to degree."""
+    if k == 1:
+        return [(degree,)]
+    return [
+        (first,) + rest
+        for first in range(degree, -1, -1)
+        for rest in _compositions(degree - first, k - 1)
+    ]
 
 
 def build_functional(
@@ -60,7 +58,10 @@ def build_functional(
     """Expand the per-emitter product form over K distinct detector angles.
 
     Each emitter j contributes a factor 1 - |sum_l c_{l,j} f_l|^2 with
-    c_{l,j} the far-field phase from emitter j toward angle l.
+    c_{l,j} the far-field phase from emitter j toward angle l.  Every
+    factor adds one f and one fstar, so the terms are exactly the keys
+    (a, b) with |a| = |b| <= N; the product is taken over that known term
+    set by gathers, one emitter at a time.
     """
     angles = [float(a) for a in distinct_angles]
     k = len(angles)
@@ -69,21 +70,45 @@ def build_functional(
             f"supported detector-angle counts are 1..{MAX_DISTINCT_ANGLES}, got {k}"
         )
     n = geometry.n_emitters
-    zero = (0,) * k
 
-    def unit(i: int) -> tuple[int, ...]:
-        return tuple(1 if j == i else 0 for j in range(k))
-
-    terms: dict[ExponentKey, complex] = {(zero, zero): 1.0 + 0.0j}
-    for j in range(1, n + 1):
-        c = [cmath.exp(-1j * geometry.phase_of(j, theta)) for theta in angles]
-        factor: dict[ExponentKey, complex] = {(zero, zero): 1.0 + 0.0j}
+    # Keys listed by degree d: (a, b) sits at start[d] + rank(a) * len(comps[d]) + rank(b).
+    comps = [_compositions(d, k) for d in range(n + 1)]
+    start = np.cumsum([0] + [len(c) ** 2 for c in comps])
+    spare = int(start[-1])  # a slot that always holds 0
+    # src[l, lp, i]: the key that f_l fstar_lp carries into key i, else spare.
+    src = np.full((k, k, spare + 1), spare, dtype=np.intp)
+    for d in range(1, n + 1):
+        rank = {a: r for r, a in enumerate(comps[d - 1])}
+        # down[l, r]: rank of comps[d][r] - e_l in degree d-1, or -1 if a_l = 0.
+        down = np.array(
+            [[rank.get(a[:l] + (a[l] - 1,) + a[l + 1:], -1) for a in comps[d]]
+             for l in range(k)]
+        )
+        width = len(comps[d - 1])
         for l in range(k):
             for lp in range(k):
-                key = (unit(l), unit(lp))
-                factor[key] = factor.get(key, 0.0 + 0.0j) - c[l] * c[lp].conjugate()
-        terms = _multiply(terms, factor)
-    return FormalPolynomial(terms, k)
+                block = np.where(
+                    np.logical_and.outer(down[l] >= 0, down[lp] >= 0),
+                    start[d - 1] + np.add.outer(down[l] * width, down[lp]),
+                    spare,
+                )
+                src[l, lp, start[d]:start[d + 1]] = block.ravel()
+
+    phases = np.exp(-1j * np.outer(geometry.kd * np.arange(1, n + 1), np.sin(angles)))
+    coefs = np.zeros(spare + 1, dtype=complex)
+    coefs[0] = 1.0
+    for c in phases:
+        # Key (b, a) gets the exact conjugate of every addend of key (a, b), in
+        # the same order, so the polynomial stays exactly hermitian and each
+        # coefficient extract_gm reads is exactly real.
+        step = sum(-(c[l].real ** 2 + c[l].imag ** 2) * coefs[src[l, l]] for l in range(k))
+        for l in range(k):
+            for lp in range(l + 1, k):
+                w = -c[l] * c[lp].conjugate()
+                step = step + (w * coefs[src[l, lp]] + w.conjugate() * coefs[src[lp, l]])
+        coefs = coefs + step
+    keys = [(a, b) for cd in comps for a in cd for b in cd]
+    return FormalPolynomial(dict(zip(keys, coefs[:spare].tolist())), k)
 
 
 def extract_gm(poly: FormalPolynomial, multiplicities: Sequence[int]) -> float:

@@ -163,6 +163,19 @@ def test_dense_cap_checked_before_allocation(capsys):
     assert peak < 1 << 20
 
 
+def test_theta2_steps_bounded_before_the_grid_is_built(capsys):
+    tracemalloc.start()
+    try:
+        code = run(["--theta2-steps", "1000000000000"])
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert code == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and "got 1000000000000" in err
+    assert peak < 1 << 20
+
+
 def test_oversized_exact_scan_exits_2(capsys):
     assert run(["--n-atoms", "40", "--method", "exact"]) == 2
     assert "got 40" in capsys.readouterr().err

@@ -119,6 +119,17 @@ class TestClosedForm:
         assert near == pytest.approx(at_zero, rel=1e-10)
 
 
+def test_closed_form_prefactor_is_exact():
+    from dickesim.correlations import _count_prefactor
+
+    for n in range(1, 30):
+        for m in range(1, n + 1):
+            expected = math.factorial(n) * math.factorial(m - 1) // math.factorial(n - m)
+            assert _count_prefactor(n, m) == float(expected)
+    # N(N-1) at m=2, exactly representable; three factorials of N took seconds.
+    assert _count_prefactor(10**6, 2) == 10**6 * (10**6 - 1)
+
+
 def test_g2_two_atom_normalized():
     assert g2_two_atom_normalized(0.0) == pytest.approx(1.0)
     assert g2_two_atom_normalized(math.pi) == pytest.approx(0.0, abs=1e-15)

@@ -1,3 +1,4 @@
+import cmath
 import math
 
 import numpy as np
@@ -11,6 +12,7 @@ from dickesim import (
     g_m_closed_coincident,
     g_m_exact,
 )
+from dickesim.projection import rel_dev
 
 KD = 2 * math.pi
 
@@ -45,6 +47,53 @@ def test_hermiticity_of_terms():
         assert poly.coefficient(b, a) == pytest.approx(coeff.conjugate(), abs=1e-12)
 
 
+def test_polynomial_is_exactly_hermitian():
+    # Exact, not approximate: the diagonal coefficients extract_gm reads must
+    # carry no imaginary rounding residue for its realness guard.
+    rng = np.random.default_rng(4)
+    for n, k in [(8, 3), (6, 4), (20, 2)]:
+        poly = build_functional(EmitterGeometry(n, KD), list(rng.uniform(-1.5, 1.5, k)))
+        for (a, b), coeff in poly.terms.items():
+            assert poly.terms[(b, a)] == coeff.conjugate()
+
+
+def _reference_product(geometry, angles):
+    """Dict-of-tuples expansion of the emitter product, one term pair at a time."""
+    k = len(angles)
+    zero = (0,) * k
+    unit = [tuple(int(i == l) for i in range(k)) for l in range(k)]
+    terms = {(zero, zero): 1.0 + 0.0j}
+    for j in range(1, geometry.n_emitters + 1):
+        c = [cmath.exp(-1j * geometry.phase_of(j, t)) for t in angles]
+        factor = {(zero, zero): 1.0 + 0.0j}
+        for l in range(k):
+            for lp in range(k):
+                factor[(unit[l], unit[lp])] = -c[l] * c[lp].conjugate()
+        out = {}
+        for (ta, tb), tc in terms.items():
+            for (fa, fb), fc in factor.items():
+                key = (
+                    tuple(x + y for x, y in zip(ta, fa)),
+                    tuple(x + y for x, y in zip(tb, fb)),
+                )
+                out[key] = out.get(key, 0.0 + 0.0j) + tc * fc
+        terms = out
+    return terms
+
+
+@pytest.mark.parametrize("n, k", [(1, 1), (5, 1), (3, 2), (7, 2), (4, 3), (6, 3), (3, 4)])
+def test_build_matches_reference_product(n, k):
+    g = EmitterGeometry(n, 1.7)
+    angles = [-1.2 + 0.7 * l for l in range(k)]
+    expected = _reference_product(g, angles)
+    poly = build_functional(g, angles)
+    assert poly.terms.keys() == expected.keys()
+    # Summation order differs; a few hundred roundings of the largest term.
+    tol = 1e-13 * max(abs(v) for v in expected.values())
+    for key, value in expected.items():
+        assert abs(poly.terms[key] - value) <= tol, key
+
+
 def test_total_degree_bounded():
     n = 4
     g = EmitterGeometry(n, KD)
@@ -55,6 +104,30 @@ def test_total_degree_bounded():
     # degree (0,0) or (1,1) split over two variables
     max_terms = (math.comb(n + 2, 2)) ** 2
     assert len(poly.terms) <= max_terms
+
+
+@pytest.mark.parametrize("k", [1, 2, 3, 4])
+@pytest.mark.parametrize("n", [1, 2, 3, 4, 5, 6])
+def test_term_set_is_every_balanced_exponent_pair(n, k):
+    g = EmitterGeometry(n, KD)
+    poly = build_functional(g, [0.1 + 0.3 * l for l in range(k)])
+    expected = sum(math.comb(d + k - 1, k - 1) ** 2 for d in range(n + 1))
+    assert len(poly.terms) == expected
+    for (a, b) in poly.terms:
+        assert len(a) == len(b) == k
+        assert sum(a) == sum(b)
+
+
+def test_large_n_extraction_matches_closed_form():
+    rng = np.random.default_rng(12)
+    for n in (12, 16, 20):
+        g = EmitterGeometry(n, KD)
+        for theta1, theta2 in rng.uniform(-1.4, 1.4, size=(2, 2)):
+            poly = build_functional(g, [float(theta1), float(theta2)])
+            x = g.kd * (math.sin(theta1) - math.sin(theta2))
+            for m in range(1, n + 1):
+                dev = rel_dev(extract_gm(poly, (m - 1, 1)), g_m_closed_coincident(n, m, x))
+                assert dev <= 1e-9, (n, m, theta1, theta2, dev)
 
 
 def test_extract_beyond_emitter_count_is_zero():
