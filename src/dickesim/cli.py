@@ -15,13 +15,7 @@ from dataclasses import asdict, dataclass
 
 from . import __version__
 from .core import EmitterGeometry
-from .correlations import (
-    DEFAULT_PATH_BUDGET,
-    METHODS,
-    PathBudgetExceeded,
-    scan_curve,
-    summarize,
-)
+from .correlations import METHODS, PathBudgetExceeded, scan_curve, summarize
 from .verify import run_all
 
 
@@ -74,7 +68,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--tuples", type=int, default=25,
                    help="random detector tuples per (N, m) in --verify mode")
-    p.add_argument("--path-budget", type=float, default=DEFAULT_PATH_BUDGET)
     p.add_argument("--version", action="version", version=f"%(prog)s {__version__}")
     return p
 
@@ -111,20 +104,13 @@ def _render_json(config: RunConfig, curve, summary) -> str:
     return json.dumps(payload, sort_keys=True, indent=2, allow_nan=False) + "\n"
 
 
-def run_scan(config: RunConfig, out_path: str | None, path_budget: float) -> int:
+def run_scan(config: RunConfig, out_path: str | None) -> int:
     config.validate()
     geometry = EmitterGeometry(config.n_emitters, config.kd)
     import numpy as np
 
     grid = np.linspace(config.theta2_min, config.theta2_max, config.theta2_steps)
-    curve = scan_curve(
-        geometry,
-        config.order_m,
-        config.theta1_rad,
-        grid,
-        config.method,
-        path_budget=path_budget,
-    )
+    curve = scan_curve(geometry, config.order_m, config.theta1_rad, grid, config.method)
     summary = summarize(curve)
     if config.output_format == "csv":
         text = _render_csv(config, curve, summary)
@@ -141,13 +127,9 @@ def run_scan(config: RunConfig, out_path: str | None, path_budget: float) -> int
 def run_verify(args) -> int:
     if args.n_atoms < 2:
         raise ValueError("--verify needs --n-atoms >= 2")
-    results = run_all(
-        n_max=args.n_atoms,
-        n_tuples=args.tuples,
-        kd=args.kd,
-        seed=args.seed,
-        path_budget=args.path_budget,
-    )
+    if args.tuples < 1:
+        raise ValueError(f"--verify needs --tuples >= 1, got {args.tuples}")
+    results = run_all(n_max=args.n_atoms, n_tuples=args.tuples, kd=args.kd, seed=args.seed)
     failed = False
     for res in results:
         status = "PASS" if res.passed else "FAIL"
@@ -178,7 +160,7 @@ def main(argv=None) -> int:
             output_format=args.format,
             seed=args.seed,
         )
-        return run_scan(config, args.out, args.path_budget)
+        return run_scan(config, args.out)
     # OverflowError: a closed-form count too large for a float (e.g. N=200, m=100).
     except (ValueError, OverflowError, PathBudgetExceeded, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -26,7 +26,12 @@ from .core import (
     fully_excited,
 )
 
-DEFAULT_PATH_BUDGET = 1e8
+# Most paths g_m_pathsum enumerates; C(N, m) * m! = N!/(N-m)!, so N! at m = N.
+PATH_BUDGET = 1e8
+# Most phase factors (paths x m) g_m_pathsum gathers at once.
+PATH_CHUNK = 2**20
+# Subsets that share each pass over the permutations when m! does not fit a tile.
+SUBSETS_PER_PASS = 64
 # Below this |sin(x/2)| the interference kernel is replaced by its limit N^2.
 SINGULARITY_EPS = 1e-8
 
@@ -34,7 +39,25 @@ METHODS = ("exact", "pathsum", "closed", "functional")
 
 
 class PathBudgetExceeded(RuntimeError):
-    """The brute-force path enumeration would exceed its configured budget."""
+    """The brute-force path enumeration would exceed PATH_BUDGET."""
+
+
+def check_path_budget(n: int, m: int) -> None:
+    """Raise PathBudgetExceeded if a path sum over N emitters, m detectors is too big."""
+    n_paths = math.perm(n, m)
+    if n_paths > PATH_BUDGET:
+        raise PathBudgetExceeded(f"{n_paths} paths exceed the budget of {PATH_BUDGET:g}")
+
+
+def _batches(tuples, size: int, width: int):
+    """Consecutive (<= size, width) index arrays drawn from an iterator of tuples."""
+    while True:
+        flat = np.fromiter(
+            itertools.chain.from_iterable(itertools.islice(tuples, size)), dtype=np.intp
+        )
+        if flat.size == 0:
+            return
+        yield flat.reshape(-1, width)
 
 
 def g_m_exact(geometry: EmitterGeometry, detectors, state: StateVector) -> float:
@@ -52,44 +75,36 @@ def g_m_exact(geometry: EmitterGeometry, detectors, state: StateVector) -> float
     return current.norm_sq()
 
 
-def g_m_pathsum(
-    geometry: EmitterGeometry,
-    detectors,
-    path_budget: float = DEFAULT_PATH_BUDGET,
-) -> float:
+def g_m_pathsum(geometry: EmitterGeometry, detectors) -> float:
     """Brute-force correlation of the fully excited state.
 
     Sums, for every m-element emitter subset, the coherent amplitude over
     all m! assignments of detectors to emitters, and adds the squared
-    moduli incoherently.  Complexity C(N, m) * m!.
+    moduli incoherently.  Complexity C(N, m) * m!.  Subsets and permutations
+    are streamed in tiles of at most PATH_CHUNK phase factors, so memory
+    does not grow with N or m.
     """
     angles = as_angles(detectors)
     n = geometry.n_emitters
     m = len(angles)
     if m > n:
         raise ValueError(f"cannot detect {m} photons from {n} single-photon emitters")
-    n_paths = math.comb(n, m) * math.factorial(m)
-    if n_paths > path_budget:
-        raise PathBudgetExceeded(
-            f"{n_paths} paths exceed the budget of {path_budget:g}"
-        )
+    check_path_budget(n, m)
     # phase_matrix[l, j] = exp(-i * phi(emitter l+1, theta_j))
     emitter_idx = np.arange(1, n + 1, dtype=float)
     sines = np.sin(np.asarray(angles, dtype=float))
     phase_matrix = np.exp(-1j * geometry.kd * np.outer(emitter_idx, sines))
-
-    subsets = np.array(list(itertools.combinations(range(n), m)))
-    perms = np.array(list(itertools.permutations(range(m))))
     cols = np.arange(m)
 
+    perms_per_tile = min(math.factorial(m), max(1, PATH_CHUNK // (SUBSETS_PER_PASS * m)))
+    subsets_per_tile = max(1, PATH_CHUNK // (perms_per_tile * m))
     total = 0.0
-    # chunk so the (subsets x m! x m) gather stays small
-    chunk = max(1, int(2**20 // (perms.shape[0] * m)))
-    for start in range(0, subsets.shape[0], chunk):
-        block = subsets[start : start + chunk]
-        # paths[s, p, j] = phase of emitter block[s, perms[p, j]] toward detector j
-        paths = phase_matrix[block[:, perms], cols]
-        amplitudes = paths.prod(axis=2).sum(axis=1)
+    for block in _batches(itertools.combinations(range(n), m), subsets_per_tile, m):
+        amplitudes = np.zeros(block.shape[0], dtype=complex)
+        for perms in _batches(itertools.permutations(range(m)), perms_per_tile, m):
+            # paths[s, p, j] = phase of emitter block[s, perms[p, j]] toward detector j
+            paths = phase_matrix[block[:, perms], cols]
+            amplitudes += paths.prod(axis=2).sum(axis=1)
         total += float((amplitudes.real**2 + amplitudes.imag**2).sum())
     return total
 
@@ -180,7 +195,6 @@ def scan_curve(
     theta1: float,
     theta2_grid,
     method: str,
-    path_budget: float = DEFAULT_PATH_BUDGET,
 ) -> CorrelationCurve:
     """Evaluate G(m) with (m-1) detectors at theta1 over a theta2 grid.
 
@@ -217,7 +231,7 @@ def scan_curve(
     elif method == "pathsum":
         for i, theta2 in enumerate(grid):
             det = DetectorList.coincident(theta1, order_m, float(theta2))
-            values[i] = g_m_pathsum(geometry, det, path_budget=path_budget)
+            values[i] = g_m_pathsum(geometry, det)
     else:  # functional
         from .functional import build_functional, extract_gm
 

@@ -14,7 +14,7 @@ import numpy as np
 
 from .core import DetectorList, EmitterGeometry, dicke_state, fully_excited
 from .correlations import (
-    DEFAULT_PATH_BUDGET,
+    check_path_budget,
     g_m_closed_coincident,
     g_m_exact,
     g_m_pathsum,
@@ -59,7 +59,6 @@ def cross_method_suite(
     n_tuples: int = 100,
     kd: float = 2 * math.pi,
     seed: int = 0,
-    path_budget: float = DEFAULT_PATH_BUDGET,
 ) -> SuiteResult:
     """Exact engine vs. brute-force path sum on random detector tuples."""
     rng = np.random.default_rng(seed)
@@ -72,7 +71,7 @@ def cross_method_suite(
             for row in thetas:
                 angles = tuple(float(t) for t in row)
                 a = g_m_exact(geometry, angles, state)
-                b = g_m_pathsum(geometry, angles, path_budget=path_budget)
+                b = g_m_pathsum(geometry, angles)
                 tracker.record(
                     rel_dev(a, b), f"N={n} m={m} angles={np.round(row, 4).tolist()}"
                 )
@@ -84,7 +83,6 @@ def coincident_oracle_suite(
     n_tuples: int = 100,
     kd: float = 2 * math.pi,
     seed: int = 1,
-    path_budget: float = DEFAULT_PATH_BUDGET,
 ) -> SuiteResult:
     """Exact, path-sum, closed-form, and polynomial routes at coincident detectors."""
     rng = np.random.default_rng(seed)
@@ -101,7 +99,7 @@ def coincident_oracle_suite(
                 det = DetectorList.coincident(theta1, m, theta2)
                 values = {
                     "exact": g_m_exact(geometry, det, state),
-                    "pathsum": g_m_pathsum(geometry, det, path_budget=path_budget),
+                    "pathsum": g_m_pathsum(geometry, det),
                     "closed": g_m_closed_coincident(n, m, x),
                     "functional": extract_gm(poly, (m - 1, 1)),
                 }
@@ -201,20 +199,12 @@ def run_all(
     n_tuples: int = 25,
     kd: float = 2 * math.pi,
     seed: int = 0,
-    path_budget: float = DEFAULT_PATH_BUDGET,
 ) -> list[SuiteResult]:
+    # The largest path sum the suites request is N = m = n_max.
+    check_path_budget(n_max, n_max)
     return [
-        cross_method_suite(
-            n_max=n_max,
-            n_tuples=n_tuples,
-            kd=kd,
-            seed=seed,
-            path_budget=path_budget,
-        ),
-        coincident_oracle_suite(
-            n_max=n_max, n_tuples=n_tuples, kd=kd, seed=seed + 1,
-            path_budget=path_budget,
-        ),
+        cross_method_suite(n_max=n_max, n_tuples=n_tuples, kd=kd, seed=seed),
+        coincident_oracle_suite(n_max=n_max, n_tuples=n_tuples, kd=kd, seed=seed + 1),
         factorization_suite(n_max=n_max, n_tuples=max(1, n_tuples // 5), kd=kd, seed=seed + 2),
         dicke_preparation_suite(n_max=max(n_max, 10), kd=kd),
         functional_invariant_suite(n_max=min(n_max, 8), kd=kd, seed=seed + 3),

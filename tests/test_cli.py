@@ -89,10 +89,34 @@ def test_unwritable_output_path(tmp_path):
 
 
 def test_path_budget_error(capsys):
-    assert run(
-        ["--n-atoms", "8", "--order", "8", "--method", "pathsum",
-         "--path-budget", "10"]
-    ) == 2
+    # 12! = 4.8e8 paths, over the fixed 1e8 budget.
+    assert run(["--n-atoms", "12", "--order", "12", "--method", "pathsum"]) == 2
+    assert "exceed the budget of 1e+08" in capsys.readouterr().err
+
+
+def test_budget_option_is_gone(capsys):
+    with pytest.raises(SystemExit) as exc:
+        run(["--method", "pathsum", "--path-budget", "1e9"])
+    assert exc.value.code == 2
+
+
+def test_verify_checks_the_budget_before_any_suite(capsys):
+    tracemalloc.start()
+    try:
+        code = run(["--verify", "--n-atoms", "12"])
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert code == 2
+    assert "479001600 paths exceed the budget" in capsys.readouterr().err
+    assert peak < 1 << 20
+
+
+@pytest.mark.parametrize("tuples", ["0", "-3"])
+def test_verify_rejects_fewer_than_one_tuple(tuples, capsys):
+    assert run(["--verify", "--n-atoms", "4", "--tuples", tuples]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and f"--tuples >= 1, got {tuples}" in err
 
 
 def test_verify_passes(capsys):

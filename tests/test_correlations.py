@@ -1,8 +1,10 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 
+import dickesim.correlations
 from dickesim import (
     DetectorList,
     EmitterGeometry,
@@ -85,9 +87,34 @@ class TestPathsum:
             g_m_pathsum(g, (0.1, 0.2, 0.3))
 
     def test_budget_guard(self):
-        g = EmitterGeometry(8, KD)
+        g = EmitterGeometry(12, KD)
         with pytest.raises(PathBudgetExceeded):
-            g_m_pathsum(g, (0.1,) * 8, path_budget=100)
+            g_m_pathsum(g, (0.1,) * 12)
+
+    @pytest.mark.parametrize("n, m", [(9, 9), (10, 9)])
+    def test_matches_exact_across_permutation_tiles(self, n, m):
+        # 9! = 362880 permutations span many tiles of the path sum.
+        g = EmitterGeometry(n, KD)
+        angles = tuple(np.random.default_rng(n).uniform(-1.5, 1.5, m))
+        exact = g_m_exact(g, angles, fully_excited(n))
+        assert g_m_pathsum(g, angles) == pytest.approx(exact, rel=1e-9)
+
+    def test_tile_size_does_not_change_the_sum(self, monkeypatch):
+        g = EmitterGeometry(7, KD)
+        angles = (0.3, -0.8, 1.1, 0.2, -0.4)
+        whole = g_m_pathsum(g, angles)
+        monkeypatch.setattr(dickesim.correlations, "PATH_CHUNK", 40)
+        assert g_m_pathsum(g, angles) == pytest.approx(whole, rel=1e-12)
+
+    def test_memory_does_not_grow_with_the_path_count(self):
+        g = EmitterGeometry(9, KD)
+        tracemalloc.start()
+        try:
+            g_m_pathsum(g, (0.1,) * 9)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 16 << 20
 
 
 class TestClosedForm:
@@ -240,9 +267,9 @@ class TestScanAndSummary:
             scan_curve(g, 2, 0.0, [0.0, math.inf], "functional")
 
     def test_pathsum_budget_propagates(self):
-        g = EmitterGeometry(6, KD)
+        g = EmitterGeometry(12, KD)
         with pytest.raises(PathBudgetExceeded):
-            scan_curve(g, 6, 0.0, np.linspace(-1, 1, 5), "pathsum", path_budget=10)
+            scan_curve(g, 12, 0.0, np.linspace(-1, 1, 5), "pathsum")
 
     def test_curve_symmetric_at_theta1_zero(self):
         g = EmitterGeometry(5, KD)
