@@ -1,8 +1,9 @@
 """m-th order intensity correlations by three independent routes.
 
 * g_m_exact     -- operator algebra on the dense state vector
-* g_m_pathsum   -- brute-force coherent sum over which-emitter assignments
-                   (deliberately naive; serves as the oracle)
+* g_m_pathsum   -- coherent sum over which-emitter assignments, one
+                   permanent per emitter subset by Glynn's formula
+                   (shares no kernel with the engine; serves as the oracle)
 * g_m_closed_coincident -- analytic form for (m-1) coincident detectors
 
 plus the derived observables: fringe visibility, peak width, angular
@@ -26,12 +27,11 @@ from .core import (
     fully_excited,
 )
 
-# Most paths g_m_pathsum enumerates; C(N, m) * m! = N!/(N-m)!, so N! at m = N.
+# Most Glynn terms, C(N, m) * 2^(m-1) per path sum, that one g_m_pathsum call,
+# pathsum scan or verification run may take.
 PATH_BUDGET = 1e8
-# Most phase factors (paths x m) g_m_pathsum gathers at once.
+# Most phase factors (subsets x m x m) g_m_pathsum gathers at once.
 PATH_CHUNK = 2**20
-# Subsets that share each pass over the permutations when m! does not fit a tile.
-SUBSETS_PER_PASS = 64
 # Below this |sin(x/2)| the interference kernel is replaced by its limit N^2.
 SINGULARITY_EPS = 1e-8
 
@@ -39,14 +39,20 @@ METHODS = ("exact", "pathsum", "closed", "functional")
 
 
 class PathBudgetExceeded(RuntimeError):
-    """The brute-force path enumeration would exceed PATH_BUDGET."""
+    """The path-sum oracle would take more than PATH_BUDGET terms."""
 
 
-def check_path_budget(n: int, m: int) -> None:
-    """Raise PathBudgetExceeded if a path sum over N emitters, m detectors is too big."""
-    n_paths = math.perm(n, m)
-    if n_paths > PATH_BUDGET:
-        raise PathBudgetExceeded(f"{n_paths} paths exceed the budget of {PATH_BUDGET:g}")
+def pathsum_terms(n: int, m: int) -> int:
+    """Glynn terms of one path sum over N emitters and m detectors: C(N, m) * 2^(m-1)."""
+    return math.comb(n, m) << (m - 1)
+
+
+def check_path_budget(n_terms: int) -> None:
+    """Raise PathBudgetExceeded if n_terms path-sum terms exceed PATH_BUDGET."""
+    if n_terms > PATH_BUDGET:
+        raise PathBudgetExceeded(
+            f"{n_terms} path-sum terms exceed the budget of {PATH_BUDGET:g}"
+        )
 
 
 def _batches(tuples, size: int, width: int):
@@ -76,35 +82,49 @@ def g_m_exact(geometry: EmitterGeometry, detectors, state: StateVector) -> float
 
 
 def g_m_pathsum(geometry: EmitterGeometry, detectors) -> float:
-    """Brute-force correlation of the fully excited state.
+    """Path-sum correlation of the fully excited state.
 
-    Sums, for every m-element emitter subset, the coherent amplitude over
-    all m! assignments of detectors to emitters, and adds the squared
-    moduli incoherently.  Complexity C(N, m) * m!.  Subsets and permutations
-    are streamed in tiles of at most PATH_CHUNK phase factors, so memory
-    does not grow with N or m.
+    For every m-element emitter subset, the coherent amplitude over all m!
+    assignments of detectors to emitters is the permanent of the m x m
+    phase submatrix; the squared moduli add incoherently.  Each permanent
+    is taken by Glynn's formula (D. G. Glynn, Eur. J. Combin. 31, 1887
+    (2010)), a signed sum over 2^(m-1) sign vectors visited in Gray-code
+    order, so one row update and one product per vector.  Complexity
+    C(N, m) * 2^(m-1) * m.  Subsets are streamed in tiles of at most
+    PATH_CHUNK phase factors, so memory does not grow with N.
     """
     angles = as_angles(detectors)
     n = geometry.n_emitters
     m = len(angles)
     if m > n:
         raise ValueError(f"cannot detect {m} photons from {n} single-photon emitters")
-    check_path_budget(n, m)
+    check_path_budget(pathsum_terms(n, m))
     # phase_matrix[l, j] = exp(-i * phi(emitter l+1, theta_j))
     emitter_idx = np.arange(1, n + 1, dtype=float)
     sines = np.sin(np.asarray(angles, dtype=float))
     phase_matrix = np.exp(-1j * geometry.kd * np.outer(emitter_idx, sines))
-    cols = np.arange(m)
 
-    perms_per_tile = min(math.factorial(m), max(1, PATH_CHUNK // (SUBSETS_PER_PASS * m)))
-    subsets_per_tile = max(1, PATH_CHUNK // (perms_per_tile * m))
     total = 0.0
-    for block in _batches(itertools.combinations(range(n), m), subsets_per_tile, m):
-        amplitudes = np.zeros(block.shape[0], dtype=complex)
-        for perms in _batches(itertools.permutations(range(m)), perms_per_tile, m):
-            # paths[s, p, j] = phase of emitter block[s, perms[p, j]] toward detector j
-            paths = phase_matrix[block[:, perms], cols]
-            amplitudes += paths.prod(axis=2).sum(axis=1)
+    subsets = itertools.combinations(range(n), m)
+    for block in _batches(subsets, max(1, PATH_CHUNK // m**2), m):
+        # a[s, r, j]: phase of emitter block[s, r] toward detector j
+        a = phase_matrix[block]
+        # Glynn: perm(a) = 2^(1-m) * sum over delta in {+1} x {+-1}^(m-1)
+        # of prod(delta) * prod_j sum_r delta_r a[r, j]
+        sums = a.sum(axis=1)
+        acc = sums.prod(axis=1)
+        delta = [1] * m
+        for k in range(1, 1 << (m - 1)):
+            # Gray code: step k flips the row after k's lowest set bit,
+            # and prod(delta) is (-1)^k.
+            i = (k & -k).bit_length()
+            delta[i] = -delta[i]
+            sums += (2 * delta[i]) * a[:, i, :]
+            if k & 1:
+                acc -= sums.prod(axis=1)
+            else:
+                acc += sums.prod(axis=1)
+        amplitudes = acc / (1 << (m - 1))
         total += float((amplitudes.real**2 + amplitudes.imag**2).sum())
     return total
 
@@ -229,6 +249,7 @@ def scan_curve(
             det = DetectorList.coincident(theta1, order_m, float(theta2))
             values[i] = g_m_exact(geometry, det, state)
     elif method == "pathsum":
+        check_path_budget(grid.size * pathsum_terms(n, order_m))
         for i, theta2 in enumerate(grid):
             det = DetectorList.coincident(theta1, order_m, float(theta2))
             values[i] = g_m_pathsum(geometry, det)

@@ -18,6 +18,7 @@ from .correlations import (
     g_m_closed_coincident,
     g_m_exact,
     g_m_pathsum,
+    pathsum_terms,
 )
 from .functional import build_functional, extract_gm
 from .projection import cascade_subtract, rel_dev, verify_factorization
@@ -200,8 +201,13 @@ def run_all(
     kd: float = 2 * math.pi,
     seed: int = 0,
 ) -> list[SuiteResult]:
-    # The largest path sum the suites request is N = m = n_max.
-    check_path_budget(n_max, n_max)
+    # The cross-method and coincident suites each take n_tuples path sums
+    # at every 2 <= N <= n_max, 1 <= m <= N.
+    check_path_budget(
+        2 * n_tuples * sum(
+            pathsum_terms(n, m) for n in range(2, n_max + 1) for m in range(1, n + 1)
+        )
+    )
     return [
         cross_method_suite(n_max=n_max, n_tuples=n_tuples, kd=kd, seed=seed),
         coincident_oracle_suite(n_max=n_max, n_tuples=n_tuples, kd=kd, seed=seed + 1),

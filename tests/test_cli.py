@@ -89,8 +89,8 @@ def test_unwritable_output_path(tmp_path):
 
 
 def test_path_budget_error(capsys):
-    # 12! = 4.8e8 paths, over the fixed 1e8 budget.
-    assert run(["--n-atoms", "12", "--order", "12", "--method", "pathsum"]) == 2
+    # C(20, 14) * 2^13 = 3.2e8 path-sum terms for one point, over the fixed 1e8 budget.
+    assert run(["--n-atoms", "20", "--order", "14", "--method", "pathsum"]) == 2
     assert "exceed the budget of 1e+08" in capsys.readouterr().err
 
 
@@ -103,12 +103,13 @@ def test_budget_option_is_gone(capsys):
 def test_verify_checks_the_budget_before_any_suite(capsys):
     tracemalloc.start()
     try:
-        code = run(["--verify", "--n-atoms", "12"])
+        # 25 tuples x sum over N <= 14, m <= N of 2 C(N, m) 2^(m-1) terms
+        code = run(["--verify", "--n-atoms", "14"])
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
     assert code == 2
-    assert "479001600 paths exceed the budget" in capsys.readouterr().err
+    assert "179360900 path-sum terms exceed the budget" in capsys.readouterr().err
     assert peak < 1 << 20
 
 

@@ -1,8 +1,11 @@
+import cmath
+import itertools
 import math
 import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import dickesim.correlations
 from dickesim import (
@@ -29,6 +32,25 @@ KD = 2 * math.pi
 def theta_for_phase(x, kd=KD):
     """theta2 with theta1 = 0 such that the inter-detector phase equals x."""
     return math.asin(-x / kd)
+
+
+def literal_pathsum(geometry, angles):
+    """Reference oracle: every m-subset of emitters, every one of its m! assignments."""
+    total = 0.0
+    for subset in itertools.combinations(range(1, geometry.n_emitters + 1), len(angles)):
+        amplitude = 0j
+        for emitters in itertools.permutations(subset):
+            path = 1 + 0j
+            for emitter, theta in zip(emitters, angles):
+                path *= cmath.exp(-1j * geometry.kd * emitter * math.sin(theta))
+            amplitude += path
+        total += abs(amplitude) ** 2
+    return total
+
+
+def assert_matches_literal_pathsum(geometry, angles):
+    reference = literal_pathsum(geometry, angles)
+    assert abs(g_m_pathsum(geometry, angles) - reference) <= 1e-12 * max(1.0, reference)
 
 
 class TestExact:
@@ -86,14 +108,41 @@ class TestPathsum:
         with pytest.raises(ValueError):
             g_m_pathsum(g, (0.1, 0.2, 0.3))
 
+    @pytest.mark.parametrize(
+        "n, m", [(n, m) for n in range(1, 7) for m in range(1, min(n, 4) + 1)]
+    )
+    def test_matches_literal_enumeration(self, n, m):
+        angles = tuple(np.random.default_rng(10 * n + m).uniform(-1.5, 1.5, m))
+        assert_matches_literal_pathsum(EmitterGeometry(n, KD), angles)
+
+    @given(
+        n=st.integers(1, 6),
+        m=st.integers(1, 4),
+        kd=st.floats(0.1, 12.0),
+        angles=st.lists(st.floats(-math.pi / 2, math.pi / 2), min_size=4, max_size=4),
+    )
+    @settings(max_examples=60, deadline=None)
+    def test_matches_literal_enumeration_at_random_angles(self, n, m, kd, angles):
+        assert_matches_literal_pathsum(EmitterGeometry(n, kd), tuple(angles[: min(m, n)]))
+
+    def test_full_order_at_sixteen_emitters_matches_closed_form(self):
+        # One 16 x 16 permanent: 2^15 Glynn terms in place of 16! = 2.1e13 paths.
+        g = EmitterGeometry(16, KD)
+        det = DetectorList.coincident(0.1, 16, 0.4)
+        x = KD * (math.sin(0.1) - math.sin(0.4))
+        assert g_m_pathsum(g, det) == pytest.approx(
+            g_m_closed_coincident(16, 16, x), rel=1e-9
+        )
+
     def test_budget_guard(self):
-        g = EmitterGeometry(12, KD)
+        # C(20, 14) * 2^13 = 3.2e8 terms, over the 1e8 budget.
+        g = EmitterGeometry(20, KD)
         with pytest.raises(PathBudgetExceeded):
-            g_m_pathsum(g, (0.1,) * 12)
+            g_m_pathsum(g, (0.1,) * 14)
 
     @pytest.mark.parametrize("n, m", [(9, 9), (10, 9)])
     def test_matches_exact_across_permutation_tiles(self, n, m):
-        # 9! = 362880 permutations span many tiles of the path sum.
+        # 9! = 362880 assignments per subset, summed as 2^8 Glynn terms.
         g = EmitterGeometry(n, KD)
         angles = tuple(np.random.default_rng(n).uniform(-1.5, 1.5, m))
         exact = g_m_exact(g, angles, fully_excited(n))
@@ -267,9 +316,11 @@ class TestScanAndSummary:
             scan_curve(g, 2, 0.0, [0.0, math.inf], "functional")
 
     def test_pathsum_budget_propagates(self):
-        g = EmitterGeometry(12, KD)
+        # One point is C(20, 10) * 2^9 = 9.5e7 terms, under the budget; five are
+        # 4.7e8, so the scan raises before its first point.
+        g = EmitterGeometry(20, KD)
         with pytest.raises(PathBudgetExceeded):
-            scan_curve(g, 12, 0.0, np.linspace(-1, 1, 5), "pathsum")
+            scan_curve(g, 10, 0.0, np.linspace(-1, 1, 5), "pathsum")
 
     def test_curve_symmetric_at_theta1_zero(self):
         g = EmitterGeometry(5, KD)
