@@ -13,6 +13,8 @@ import math
 import sys
 from dataclasses import asdict, dataclass
 
+import numpy as np
+
 from . import __version__
 from .core import EmitterGeometry
 from .correlations import METHODS, PathBudgetExceeded, scan_curve, summarize
@@ -72,18 +74,14 @@ def build_parser() -> argparse.ArgumentParser:
     return p
 
 
-def _fmt(value: float) -> str:
-    return f"{value:.17g}"
-
-
 def _render_csv(config: RunConfig, curve, summary) -> str:
     lines = [
         f"# dickesim {__version__}",
         "# config " + json.dumps(asdict(config), sort_keys=True),
         "theta2_rad,phase_x,value,method",
     ]
-    for theta2, x, v in zip(curve.theta2_grid, curve.phase_x, curve.values):
-        lines.append(f"{_fmt(theta2)},{_fmt(x)},{_fmt(v)},{curve.method}")
+    for t, x, v in zip(curve.theta2_grid, curve.phase_x, curve.values):
+        lines.append(f"{t:.17g},{x:.17g},{v:.17g},{curve.method}")
     return "\n".join(lines) + "\n"
 
 
@@ -93,9 +91,9 @@ def _render_json(config: RunConfig, curve, summary) -> str:
         "version": __version__,
         "config": asdict(config),
         "curve": {
-            "theta2_rad": [float(v) for v in curve.theta2_grid],
-            "phase_x": [float(v) for v in curve.phase_x],
-            "value": [float(v) for v in curve.values],
+            "theta2_rad": curve.theta2_grid.tolist(),
+            "phase_x": curve.phase_x.tolist(),
+            "value": curve.values.tolist(),
             "method": curve.method,
         },
         # An undefined value (first_zero_phase with no interior minimum) is null.
@@ -107,8 +105,6 @@ def _render_json(config: RunConfig, curve, summary) -> str:
 def run_scan(config: RunConfig, out_path: str | None) -> int:
     config.validate()
     geometry = EmitterGeometry(config.n_emitters, config.kd)
-    import numpy as np
-
     grid = np.linspace(config.theta2_min, config.theta2_max, config.theta2_steps)
     curve = scan_curve(geometry, config.order_m, config.theta1_rad, grid, config.method)
     summary = summarize(curve)

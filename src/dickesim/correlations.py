@@ -4,7 +4,8 @@
 * g_m_pathsum   -- coherent sum over which-emitter assignments, one
                    permanent per emitter subset by Glynn's formula
                    (shares no kernel with the engine; serves as the oracle)
-* g_m_closed_coincident -- analytic form for (m-1) coincident detectors
+* g_m_closed_coincident -- analytic form for (m-1) coincident detectors,
+                   elementwise: a float for a scalar phase, an array for an array
 
 plus the derived observables: fringe visibility, peak width, angular
 average, and the normalized two-atom g2.
@@ -26,6 +27,7 @@ from .core import (
     check_order,
     fully_excited,
 )
+from .functional import build_functional, extract_gm
 
 # Most Glynn terms, C(N, m) * 2^(m-1) per path sum, that one g_m_pathsum call,
 # pathsum scan or verification run may take.
@@ -129,12 +131,15 @@ def g_m_pathsum(geometry: EmitterGeometry, detectors) -> float:
     return total
 
 
-def interference_kernel(n_emitters: int, phase_x: float) -> float:
-    """sin^2(N x/2)/sin^2(x/2) with the removable singularity filled by N^2."""
-    half = math.sin(phase_x / 2.0)
-    if abs(half) < SINGULARITY_EPS:
-        return float(n_emitters) ** 2
-    return (math.sin(n_emitters * phase_x / 2.0) / half) ** 2
+def interference_kernel(n_emitters: int, phase_x):
+    """sin^2(N x/2)/sin^2(x/2) elementwise, N^2 where |sin(x/2)| < SINGULARITY_EPS."""
+    x = np.asarray(phase_x, dtype=float)
+    half = np.sin(x / 2.0)
+    # A single emitter is its own limit everywhere: ones of the phase's shape.
+    singular = (np.abs(half) < SINGULARITY_EPS) | (n_emitters == 1)
+    ratio = np.sin(n_emitters * x / 2.0) / np.where(singular, 1.0, half)
+    kernel = np.where(singular, float(n_emitters) ** 2, ratio * ratio)
+    return kernel if kernel.ndim else float(kernel)
 
 
 def _count_prefactor(n: int, m: int) -> float:
@@ -143,16 +148,18 @@ def _count_prefactor(n: int, m: int) -> float:
     return float(math.perm(n, m) * math.factorial(m - 1))
 
 
-def g_m_closed_coincident(n_emitters: int, order_m: int, phase_x: float) -> float:
-    """Analytic G(m) for (m-1) coincident detectors vs. inter-detector phase x."""
+def g_m_closed_coincident(n_emitters: int, order_m: int, phase_x):
+    """Analytic G(m) for (m-1) coincident detectors, elementwise in the phase x."""
     n, m = n_emitters, order_m
     check_order(n, m)
-    if n == 1:
-        return 1.0
     kernel = interference_kernel(n, phase_x)
-    return _count_prefactor(n, m) * (
-        (n - m) / (n - 1) + (m - 1) * kernel / (n * (n - 1))
-    )
+    if n == 1:
+        return kernel  # ones
+    # Past the float range a value is inf, left for scan_curve to report.
+    with np.errstate(over="ignore"):
+        return _count_prefactor(n, m) * (
+            (n - m) / (n - 1) + (m - 1) * kernel / (n * (n - 1))
+        )
 
 
 def g2_two_atom_normalized(phase_x: float) -> float:
@@ -218,9 +225,9 @@ def scan_curve(
 ) -> CorrelationCurve:
     """Evaluate G(m) with (m-1) detectors at theta1 over a theta2 grid.
 
-    Each grid point is computed independently; tiny negative rounding
-    residues (>= -1e-9) are clamped to zero in the stored curve.  Non-finite
-    inputs, and values that overflow a float, raise ValueError.
+    The closed form takes the whole grid in one call, the other methods one
+    point at a time.  Tiny negative rounding residues (>= -1e-9) are clamped to
+    zero.  Non-finite inputs, and values that overflow a float, raise ValueError.
     """
     if method not in METHODS:
         raise ValueError(f"unknown method {method!r}, expected one of {METHODS}")
@@ -241,8 +248,7 @@ def scan_curve(
 
     values = np.empty(grid.size, dtype=float)
     if method == "closed":
-        for i, x in enumerate(phase_x):
-            values[i] = g_m_closed_coincident(n, order_m, float(x))
+        values = g_m_closed_coincident(n, order_m, phase_x)
     elif method == "exact":
         state = fully_excited(n)
         for i, theta2 in enumerate(grid):
@@ -254,8 +260,6 @@ def scan_curve(
             det = DetectorList.coincident(theta1, order_m, float(theta2))
             values[i] = g_m_pathsum(geometry, det)
     else:  # functional
-        from .functional import build_functional, extract_gm
-
         for i, theta2 in enumerate(grid):
             poly = build_functional(geometry, [theta1, float(theta2)])
             values[i] = extract_gm(poly, (order_m - 1, 1))
@@ -290,11 +294,11 @@ def summarize(curve: CorrelationCurve) -> CurveSummary:
     vmin = float(v.min())
     visibility = 0.0 if vmax + vmin == 0.0 else (vmax - vmin) / (vmax + vmin)
 
-    first_zero = math.nan
-    for i in range(1, v.size - 1):
-        if x[i] > 0.0 and v[i] <= v[i - 1] and v[i] <= v[i + 1] and v[i] < vmax:
-            first_zero = float(x[i])
-            break
+    # First interior point at positive phase that is a local minimum below the peak.
+    inner = v[1:-1]
+    is_zero = (x[1:-1] > 0.0) & (inner <= v[:-2]) & (inner <= v[2:]) & (inner < vmax)
+    hits = np.flatnonzero(is_zero)
+    first_zero = float(x[1 + hits[0]]) if hits.size else math.nan
 
     if x.size > 1 and x[-1] > x[0]:
         angular_mean = float(np.trapezoid(v, x) / (x[-1] - x[0]))

@@ -38,8 +38,6 @@ def rel_dev(a: float, b: float) -> float:
 class ImpossibleDetection(RuntimeError):
     """No photon can be detected at this angle (zero projection weight)."""
 
-    weight = 0.0
-
 
 @dataclass(frozen=True)
 class ProjectionResult:
@@ -143,13 +141,13 @@ def verify_factorization(
     )
 
 
-def dicke_intensity_closed(n_emitters: int, order_m: int, phase: float) -> float:
-    """Radiated intensity of the symmetric Dicke state with m-1 emitters down."""
+def dicke_intensity_closed(n_emitters: int, order_m: int, phase):
+    """Radiated intensity of the symmetric Dicke state with m-1 emitters down, elementwise."""
     n, m = n_emitters, order_m
     check_order(n, m)
-    if n == 1:
-        return 1.0
     kernel = interference_kernel(n, phase)
+    if n == 1:
+        return kernel  # ones
     return (n - m + 1) * (
         (n - m) / (n - 1) + (m - 1) * kernel / (n * (n - 1))
     )

@@ -218,6 +218,8 @@ def test_closed_form_overflow_exits_2(n, m, message, capsys):
     assert run(["--n-atoms", str(n), "--order", str(m), "--method", "closed"]) == 2
     err = capsys.readouterr().err
     assert err.startswith("error:") and message in err
+    # One line: the overflow itself raises no RuntimeWarning.
+    assert err.count("\n") == 1
 
 
 def test_json_is_strict_when_first_zero_is_undefined(tmp_path):

@@ -9,10 +9,12 @@ from hypothesis import given, settings, strategies as st
 
 import dickesim.correlations
 from dickesim import (
+    CorrelationCurve,
     DetectorList,
     EmitterGeometry,
     PathBudgetExceeded,
     angular_average_gm,
+    dicke_intensity_closed,
     dicke_state,
     fully_excited,
     g2_thermal_reference,
@@ -25,6 +27,7 @@ from dickesim import (
     summarize,
     visibility_formula,
 )
+from dickesim.correlations import interference_kernel
 
 KD = 2 * math.pi
 
@@ -195,6 +198,70 @@ class TestClosedForm:
         assert near == pytest.approx(at_zero, rel=1e-10)
 
 
+class TestElementwiseClosedForm:
+    # Singular points (multiples of 2*pi), points near them, and generic phases.
+    XS = np.concatenate(
+        [np.linspace(-13.0, 13.0, 181), 2 * math.pi * np.arange(-2, 3), [1e-9, -1e-7]]
+    )
+    CASES = [(n, m) for n in (1, 2, 5, 12, 20) for m in sorted({1, 2, n // 2, n}) if 1 <= m <= n]
+
+    @pytest.mark.parametrize("f", [g_m_closed_coincident, dicke_intensity_closed])
+    def test_array_equals_scalar_bit_for_bit(self, f):
+        for n, m in self.CASES:
+            scalars = [f(n, m, float(x)) for x in self.XS]
+            assert all(type(v) is float for v in scalars)
+            assert np.array_equal(f(n, m, self.XS), np.array(scalars))
+
+    def test_kernel_array_equals_scalar_bit_for_bit(self):
+        # A finer grid: a square taken by pow() instead of x*x differs in the
+        # last bit between scalars and arrays at a few of these points.
+        xs = np.concatenate([np.linspace(-13.0, 13.0, 2001), self.XS])
+        for n in (1, 2, 7, 20):
+            scalars = [interference_kernel(n, float(x)) for x in xs]
+            assert all(type(v) is float for v in scalars)
+            assert np.array_equal(interference_kernel(n, xs), np.array(scalars))
+
+    def test_matches_the_scalar_math_formula(self):
+        # The per-point math-module form the closed route used before, kept as
+        # the reference; sin and the square may round differently, so a few ulp.
+        def kernel(n, x):
+            half = math.sin(x / 2.0)
+            if abs(half) < 1e-8:
+                return float(n) ** 2
+            return (math.sin(n * x / 2.0) / half) ** 2
+
+        def g_m(n, m, x):
+            if n == 1:
+                return 1.0
+            prefactor = math.factorial(n) * math.factorial(m - 1) / math.factorial(n - m)
+            return prefactor * ((n - m) / (n - 1) + (m - 1) * kernel(n, x) / (n * (n - 1)))
+
+        for n, m in self.CASES:
+            reference = [g_m(n, m, float(x)) for x in self.XS]
+            np.testing.assert_allclose(
+                g_m_closed_coincident(n, m, self.XS), reference, rtol=4 * np.finfo(float).eps
+            )
+
+    def test_singular_points_take_the_limit(self):
+        xs = 2 * math.pi * np.array([0, 1, -1, 2, -2])
+        for n in range(2, 21):
+            assert np.all(interference_kernel(n, xs) == n * n)
+            for m in range(1, n + 1):
+                peak = math.factorial(n) * math.factorial(m) / math.factorial(n - m)
+                values = g_m_closed_coincident(n, m, xs)
+                assert np.all(values == values[0])
+                assert values[0] == pytest.approx(peak, rel=1e-15)
+
+    def test_single_emitter_gives_ones_of_the_grid_shape(self):
+        grid = np.linspace(-3.0, 3.0, 12).reshape(3, 4)
+        for f in (g_m_closed_coincident, dicke_intensity_closed):
+            values = f(1, 1, grid)
+            assert values.shape == grid.shape and np.all(values == 1.0)
+        assert np.all(interference_kernel(1, grid) == np.ones(grid.shape))
+        # A lone emitter's G is 1 whatever the phase, as its scalar form always was.
+        assert g_m_closed_coincident(1, 1, math.nan) == 1.0
+
+
 def test_closed_form_prefactor_is_exact():
     from dickesim.correlations import _count_prefactor
 
@@ -237,7 +304,7 @@ def test_visibility_formula_against_measured_fringe():
     # cross-check by measuring max/min of the closed-form curve
     n, m = 4, 2
     xs = np.linspace(0, 2 * math.pi, 4 * n * 50 + 1)
-    vals = np.array([g_m_closed_coincident(n, m, float(x)) for x in xs])
+    vals = g_m_closed_coincident(n, m, xs)
     measured = (vals.max() - vals.min()) / (vals.max() + vals.min())
     assert measured == pytest.approx(visibility_formula(n, m), rel=1e-9)
 
@@ -253,7 +320,7 @@ def test_angular_average_against_quadrature():
     # oracle: trapezoid quadrature of the closed form over one phase period
     for n, m in [(2, 2), (4, 3), (6, 6), (5, 1)]:
         xs = np.linspace(0, 2 * math.pi, 200 * n + 1)
-        vals = np.array([g_m_closed_coincident(n, m, float(x)) for x in xs])
+        vals = g_m_closed_coincident(n, m, xs)
         quad = np.trapezoid(vals, xs) / (2 * math.pi)
         assert angular_average_gm(n, m) == pytest.approx(quad, rel=1e-6)
     assert angular_average_gm(2, 2) == pytest.approx(2.0)
@@ -327,6 +394,63 @@ class TestScanAndSummary:
         grid = np.linspace(-1.2, 1.2, 49)
         curve = scan_curve(g, 4, 0.0, grid, "closed")
         assert np.allclose(curve.values, curve.values[::-1], rtol=1e-9)
+
+
+def _first_zero_by_loop(phase_x, values):
+    # summarize's first zero as its per-point loop found it, kept as the reference
+    order = np.argsort(phase_x, kind="stable")
+    x = phase_x[order]
+    v = values[order]
+    vmax = float(v.max())
+    for i in range(1, v.size - 1):
+        if x[i] > 0.0 and v[i] <= v[i - 1] and v[i] <= v[i + 1] and v[i] < vmax:
+            return float(x[i])
+    return math.nan
+
+
+def _first_zero(phase_x, values):
+    phase_x = np.asarray(phase_x, dtype=float)
+    values = np.asarray(values, dtype=float)
+    curve = CorrelationCurve(np.arange(phase_x.size), phase_x, values, "closed")
+    got = summarize(curve).first_zero_phase
+    expected = _first_zero_by_loop(phase_x, values)
+    assert got == expected or (math.isnan(got) and math.isnan(expected))
+    return got
+
+
+# Phases on a half-integer lattice around 0 and values from four levels, so that
+# ties in phase, plateaus and minima at x <= 0 come up often.
+@given(
+    points=st.lists(
+        st.tuples(st.integers(-4, 8).map(lambda k: k / 2), st.integers(0, 3).map(float)),
+        min_size=1,
+        max_size=30,
+    )
+)
+@settings(deadline=None)
+def test_first_zero_matches_the_per_point_loop(points):
+    phase_x, values = zip(*points)
+    _first_zero(phase_x, values)
+
+
+@pytest.mark.parametrize(
+    "phase_x, values, expected",
+    [
+        ([0.5, 1.0, 1.5, 2.0], [3.0, 1.0, 2.0, 4.0], 1.0),  # first interior point
+        ([0.5, 1.0, 1.5, 2.0], [4.0, 3.0, 1.0, 2.0], 1.5),  # last interior point
+        ([1.0, 2.0, 3.0, 4.0, 5.0], [4.0, 1.0, 1.0, 1.0, 4.0], 2.0),  # plateau
+        ([2.0, 1.0, 0.5, 1.5], [4.0, 1.0, 3.0, 2.0], 1.0),  # unsorted phases
+        ([-3.0, -2.0, -1.0, 0.0, 1.0, 2.0], [4.0, 1.0, 4.0, 0.0, 2.0, 3.0], math.nan),
+        ([0.5, 1.0, 1.5, 2.0], [2.0, 2.0, 2.0, 2.0], math.nan),  # constant
+        ([0.5, 1.0], [1.0, 0.0], math.nan),  # no interior point
+        ([1.0], [3.0], math.nan),
+    ],
+    ids=["first-interior", "last-interior", "plateau", "unsorted", "only-at-x<=0",
+         "constant", "two-points", "one-point"],
+)
+def test_first_zero_edge_cases(phase_x, values, expected):
+    got = _first_zero(phase_x, values)
+    assert got == expected or (math.isnan(got) and math.isnan(expected))
 
 
 def test_coincident_detector_helper():
