@@ -9,7 +9,8 @@ coefficient readout: no numerics beyond complex accumulation enter.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from math import factorial
+from functools import cached_property
+from math import comb, factorial
 from types import MappingProxyType
 from typing import Mapping, Sequence
 
@@ -18,38 +19,51 @@ import numpy as np
 from .core import EmitterGeometry
 
 MAX_DISTINCT_ANGLES = 4
+# Most terms a build may hold: as many as the dense engine's largest register
+# has amplitudes.  It also keeps every key below r^(2K) < 2^63.
+MAX_FUNCTIONAL_TERMS = 2**20
 
 ExponentKey = tuple[tuple[int, ...], tuple[int, ...]]
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class FormalPolynomial:
-    """Polynomial in f_1..f_K and conjugates, keyed by exponent tuples.
+    """Polynomial in f_1..f_K and conjugates, one integer key per term.
 
-    terms maps ((a_1..a_K), (b_1..b_K)) -> coefficient of
-    prod f_l^{a_l} * prod fstar_l^{b_l}.
+    prod f_l^{a_l} * prod fstar_l^{b_l} has key code(a) * radix^K + code(b),
+    where code(a) has the base-radix digits a_1..a_K, lowest first, and
+    radix = N + 1.  keys (ascending) and coefs are read-only arrays.
     """
 
-    terms: Mapping[ExponentKey, complex]
+    keys: np.ndarray
+    coefs: np.ndarray
     n_vars: int
+    radix: int
 
     def __post_init__(self):
-        object.__setattr__(self, "terms", MappingProxyType(dict(self.terms)))
+        self.keys.flags.writeable = False
+        self.coefs.flags.writeable = False
+
+    @cached_property
+    def terms(self) -> Mapping[ExponentKey, complex]:
+        """((a_1..a_K), (b_1..b_K)) -> coefficient, built on first access."""
+        k, r = self.n_vars, self.radix
+        # codes[c]: the exponent tuple whose code is c.
+        codes = [tuple(d) for d in (np.arange(r**k)[:, None] // r ** np.arange(k) % r).tolist()]
+        a, b = np.divmod(self.keys, r**k)
+        rows = zip(a.tolist(), b.tolist(), self.coefs.tolist())
+        return MappingProxyType({(codes[i], codes[j]): c for i, j, c in rows})
 
     def coefficient(self, powers_f: Sequence[int], powers_fstar: Sequence[int]) -> complex:
-        key = (tuple(powers_f), tuple(powers_fstar))
-        return self.terms.get(key, 0.0 + 0.0j)
-
-
-def _compositions(degree: int, k: int) -> list[tuple[int, ...]]:
-    """All k-tuples of nonnegative integers that sum to degree."""
-    if k == 1:
-        return [(degree,)]
-    return [
-        (first,) + rest
-        for first in range(degree, -1, -1)
-        for rest in _compositions(degree - first, k - 1)
-    ]
+        k, r = self.n_vars, self.radix
+        digits = [*powers_fstar, *powers_f]
+        # An exponent that is not an integer in 0..N would alias another term's
+        # digits; it has no term.
+        if len(powers_f) != k or len(powers_fstar) != k or not all(x in range(r) for x in digits):
+            return 0j
+        key = sum(int(x) * r**i for i, x in enumerate(digits))
+        i = int(np.searchsorted(self.keys, key))
+        return complex(self.coefs[i]) if i < self.keys.size and self.keys[i] == key else 0j
 
 
 def build_functional(
@@ -66,36 +80,41 @@ def build_functional(
     angles = [float(a) for a in distinct_angles]
     k = len(angles)
     if not 1 <= k <= MAX_DISTINCT_ANGLES:
-        raise ValueError(
-            f"supported detector-angle counts are 1..{MAX_DISTINCT_ANGLES}, got {k}"
-        )
+        raise ValueError(f"supported detector-angle counts are 1..{MAX_DISTINCT_ANGLES}, got {k}")
     n = geometry.n_emitters
+    # The term count, sum over d <= N of C(d+K-1, K-1)^2, is checked before
+    # anything is allocated; the sum stops as soon as it passes the bound.
+    n_terms = 0
+    for d in range(n + 1):
+        n_terms += comb(d + k - 1, k - 1) ** 2
+        if n_terms > MAX_FUNCTIONAL_TERMS:
+            raise ValueError(
+                f"the generating polynomial for N={n}, K={k} has at least {n_terms} "
+                f"terms, over the bound of {MAX_FUNCTIONAL_TERMS}"
+            )
 
-    # Keys listed by degree d: (a, b) sits at start[d] + rank(a) * len(comps[d]) + rank(b).
-    comps = [_compositions(d, k) for d in range(n + 1)]
-    start = np.cumsum([0] + [len(c) ** 2 for c in comps])
-    spare = int(start[-1])  # a slot that always holds 0
-    # src[l, lp, i]: the key that f_l fstar_lp carries into key i, else spare.
-    src = np.full((k, k, spare + 1), spare, dtype=np.intp)
-    for d in range(1, n + 1):
-        rank = {a: r for r, a in enumerate(comps[d - 1])}
-        # down[l, r]: rank of comps[d][r] - e_l in degree d-1, or -1 if a_l = 0.
-        down = np.array(
-            [[rank.get(a[:l] + (a[l] - 1,) + a[l + 1:], -1) for a in comps[d]]
-             for l in range(k)]
-        )
-        width = len(comps[d - 1])
-        for l in range(k):
-            for lp in range(k):
-                block = np.where(
-                    np.logical_and.outer(down[l] >= 0, down[lp] >= 0),
-                    start[d - 1] + np.add.outer(down[l] * width, down[lp]),
-                    spare,
-                )
-                src[l, lp, start[d]:start[d + 1]] = block.ravel()
+    # Integer keys as in FormalPolynomial: code(a) * r^k + code(b).
+    r = n + 1
+    digits = np.arange(r**k) // r ** np.arange(k)[:, None] % r  # digits[l, code]
+    codes = np.flatnonzero(digits.sum(axis=0) <= n)
+    deg = digits[:, codes].sum(axis=0)
+    by_degree = codes[np.argsort(deg, kind="stable")]  # codes of each degree together
+    count = np.bincount(deg)
+    # Code a pairs with every code b of its degree, in ascending order, so the
+    # keys come out sorted.
+    width = count[deg]
+    pos = np.arange(n_terms) + np.repeat(np.cumsum(count)[deg] - np.cumsum(width), width)
+    keys = np.repeat(codes * r**k, width) + by_degree[pos]
+    # src[l, lp, i]: the key that f_l fstar_lp carries into key i, else n_terms,
+    # a slot that always holds 0.  Key i has such a source iff a_l, b_lp >= 1,
+    # and the factor adds r^(k+l) + r^lp to the source's key.
+    has_source = (digits[:, None, keys // r**k] > 0) & (digits[:, keys % r**k] > 0)
+    offset = r ** (k + np.arange(k))[:, None] + r ** np.arange(k)
+    src = np.full((k, k, n_terms), n_terms)
+    src[has_source] = np.searchsorted(keys, (keys - offset[..., None])[has_source])
 
     phases = np.exp(-1j * np.outer(geometry.kd * np.arange(1, n + 1), np.sin(angles)))
-    coefs = np.zeros(spare + 1, dtype=complex)
+    coefs = np.zeros(n_terms + 1, dtype=complex)
     coefs[0] = 1.0
     for c in phases:
         # Key (b, a) gets the exact conjugate of every addend of key (a, b), in
@@ -106,9 +125,8 @@ def build_functional(
             for lp in range(l + 1, k):
                 w = -c[l] * c[lp].conjugate()
                 step = step + (w * coefs[src[l, lp]] + w.conjugate() * coefs[src[lp, l]])
-        coefs = coefs + step
-    keys = [(a, b) for cd in comps for a in cd for b in cd]
-    return FormalPolynomial(dict(zip(keys, coefs[:spare].tolist())), k)
+        coefs[:n_terms] += step
+    return FormalPolynomial(keys, coefs[:n_terms], k, r)
 
 
 def extract_gm(poly: FormalPolynomial, multiplicities: Sequence[int]) -> float:

@@ -174,7 +174,7 @@ def functional_invariant_suite(
             angles = [float(t) for t in row]
             poly = build_functional(geometry, angles)
             for (a, b), coeff in poly.terms.items():
-                mirror = poly.coefficient(b, a)
+                mirror = poly.terms.get((b, a), 0j)
                 tracker.record(
                     abs(coeff - mirror.conjugate()), f"N={n} hermiticity {a}/{b}"
                 )
@@ -201,6 +201,10 @@ def run_all(
     kd: float = 2 * math.pi,
     seed: int = 0,
 ) -> list[SuiteResult]:
+    # The Dicke-preparation suite runs to N = 10 at least, the others to n_max;
+    # a kd too large for the largest chain is rejected before any suite runs.
+    n_dicke = max(n_max, 10)
+    EmitterGeometry(n_dicke, kd)
     # The cross-method and coincident suites each take n_tuples path sums
     # at every 2 <= N <= n_max, 1 <= m <= N.
     check_path_budget(
@@ -212,6 +216,6 @@ def run_all(
         cross_method_suite(n_max=n_max, n_tuples=n_tuples, kd=kd, seed=seed),
         coincident_oracle_suite(n_max=n_max, n_tuples=n_tuples, kd=kd, seed=seed + 1),
         factorization_suite(n_max=n_max, n_tuples=max(1, n_tuples // 5), kd=kd, seed=seed + 2),
-        dicke_preparation_suite(n_max=max(n_max, 10), kd=kd),
+        dicke_preparation_suite(n_max=n_dicke, kd=kd),
         functional_invariant_suite(n_max=min(n_max, 8), kd=kd, seed=seed + 3),
     ]

@@ -7,6 +7,7 @@ import pytest
 
 import dickesim.verify
 from dickesim.cli import main
+from dickesim.correlations import METHODS
 
 
 def run(args):
@@ -231,3 +232,31 @@ def test_json_is_strict_when_first_zero_is_undefined(tmp_path):
 
     payload = json.loads(out.read_text(encoding="utf-8"), parse_constant=reject)
     assert payload["summary"]["first_zero_phase"] is None
+
+
+@pytest.mark.parametrize(
+    "args",
+    [["--method", m, "--n-atoms", "3", "--order", "2"] for m in METHODS]
+    + [["--verify", "--n-atoms", "2", "--tuples", "1"]],
+    ids=[*METHODS, "verify"],
+)
+def test_huge_finite_kd_exits_2_with_one_line(args, capsys):
+    # kd is finite, but 2 * N * kd is not: rejected before any phase is formed,
+    # so no RuntimeWarning (an error under pytest) precedes the message.
+    assert run(args + ["--kd", "1e308"]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: kd = 1e+308 is too large")
+    assert err.count("\n") == 1
+
+
+def test_functional_term_bound_checked_before_allocation(capsys):
+    tracemalloc.start()
+    try:
+        code = run(["--method", "functional", "--n-atoms", "400"])
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert code == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and "N=400, K=2" in err and err.count("\n") == 1
+    assert peak < 1 << 20

@@ -50,6 +50,16 @@ def test_geometry_validation():
             EmitterGeometry(2, kd)
 
 
+def test_geometry_rejects_kd_whose_largest_phase_overflows():
+    # 2 * 12 * 2e307 = 4.8e308 is beyond the largest float; 2 * 12 * 1e306 is not.
+    with pytest.raises(ValueError, match=r"kd = 2e\+307 .* N = 12"):
+        EmitterGeometry(12, 2e307)
+    EmitterGeometry(12, 1e306)
+    # N * kd = 1.2e308 fits a float, but 2 * N * kd does not.
+    with pytest.raises(ValueError, match="overflows"):
+        EmitterGeometry(12, 1e307)
+
+
 @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
 def test_detector_angles_must_be_finite(bad):
     with pytest.raises(ValueError, match="finite"):

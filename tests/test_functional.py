@@ -3,6 +3,7 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from dickesim import (
     EmitterGeometry,
@@ -12,6 +13,7 @@ from dickesim import (
     g_m_closed_coincident,
     g_m_exact,
 )
+from dickesim.functional import MAX_FUNCTIONAL_TERMS
 from dickesim.projection import rel_dev
 
 KD = 2 * math.pi
@@ -92,6 +94,71 @@ def test_build_matches_reference_product(n, k):
     tol = 1e-13 * max(abs(v) for v in expected.values())
     for key, value in expected.items():
         assert abs(poly.terms[key] - value) <= tol, key
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    n=st.integers(1, 6),
+    kd=st.floats(0.1, 12.0),
+    angles=st.lists(st.floats(-math.pi / 2, math.pi / 2), min_size=1, max_size=3),
+)
+def test_integer_keyed_build_matches_reference_product(n, kd, angles):
+    g = EmitterGeometry(n, kd)
+    expected = _reference_product(g, angles)
+    poly = build_functional(g, angles)
+    assert poly.terms.keys() == expected.keys()
+    tol = 1e-13 * max(abs(v) for v in expected.values())
+    for key, value in expected.items():
+        assert abs(poly.terms[key] - value) <= tol, key
+        assert poly.coefficient(*key) == poly.terms[key]
+
+
+def test_coefficient_is_zero_off_the_term_set():
+    n = 3
+    poly = build_functional(EmitterGeometry(n, KD), [0.2, 0.6])
+    assert poly.radix == n + 1
+    assert poly.coefficient((0, 1), (0, 1)) != 0
+    # (4, 0) would have the digits of (0, 1) in base 4; 4 > N has no term.
+    assert poly.coefficient((4, 0), (0, 1)) == 0
+    assert poly.coefficient((0, 1), (4, 0)) == 0
+    # Negative exponents: (-1, 1) would have the digits of (3, 0).
+    assert poly.coefficient((3, 0), (3, 0)) != 0
+    assert poly.coefficient((-1, 1), (3, 0)) == 0
+    assert poly.coefficient((-1, 2), (1, 0)) == 0
+    assert poly.coefficient((1, 1), (1, 0)) == 0  # unbalanced degrees
+    assert poly.coefficient((2, 2), (2, 2)) == 0  # degree beyond N
+    assert poly.coefficient((1.5, 0), (1, 0)) == 0  # not an integer; (1, 0) has a term
+    assert poly.coefficient((1.0, 0), (1, 0)) == poly.coefficient((1, 0), (1, 0))
+    # Wrong lengths: (1,), (0, 1, 0) would have the digits of (0, 1), (0, 1).
+    assert poly.coefficient((1,), (0, 1, 0)) == 0
+    assert poly.coefficient((1,), (1,)) == 0
+    assert poly.coefficient((1, 0, 0), (1, 0, 0)) == 0
+
+
+def test_keys_and_coefficients_are_read_only():
+    poly = build_functional(EmitterGeometry(3, KD), [0.2, 0.6])
+    assert np.all(np.diff(poly.keys) > 0)
+    with pytest.raises(ValueError):
+        poly.keys[0] = 1
+    with pytest.raises(ValueError):
+        poly.coefs[0] = 2.0
+
+
+def test_extract_gm_does_not_build_the_term_mapping():
+    poly = build_functional(EmitterGeometry(6, KD), [0.2, 0.6])
+    extract_gm(poly, (2, 1))
+    assert "terms" not in vars(poly)
+    assert len(poly.terms) == sum((d + 1) ** 2 for d in range(7))
+    assert "terms" in vars(poly)
+
+
+@pytest.mark.parametrize("n, k", [(146, 2), (28, 3), (14, 4)])
+def test_term_bound_reports_the_count_before_building(n, k):
+    # Each is the smallest N over the bound for its K, so the count is the full sum.
+    count = sum(math.comb(d + k - 1, k - 1) ** 2 for d in range(n + 1))
+    assert count - math.comb(n + k - 1, k - 1) ** 2 <= MAX_FUNCTIONAL_TERMS < count
+    with pytest.raises(ValueError, match=f"N={n}, K={k} has at least {count} terms"):
+        build_functional(EmitterGeometry(n, KD), [0.1 * l for l in range(k)])
 
 
 def test_total_degree_bounded():
