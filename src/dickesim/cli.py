@@ -74,7 +74,7 @@ def build_parser() -> argparse.ArgumentParser:
     return p
 
 
-def _render_csv(config: RunConfig, curve, summary) -> str:
+def _render_csv(config: RunConfig, curve) -> str:
     lines = [
         f"# dickesim {__version__}",
         "# config " + json.dumps(asdict(config), sort_keys=True),
@@ -107,11 +107,11 @@ def run_scan(config: RunConfig, out_path: str | None) -> int:
     geometry = EmitterGeometry(config.n_emitters, config.kd)
     grid = np.linspace(config.theta2_min, config.theta2_max, config.theta2_steps)
     curve = scan_curve(geometry, config.order_m, config.theta1_rad, grid, config.method)
-    summary = summarize(curve)
+    # Only JSON output carries a summary.
     if config.output_format == "csv":
-        text = _render_csv(config, curve, summary)
+        text = _render_csv(config, curve)
     else:
-        text = _render_json(config, curve, summary)
+        text = _render_json(config, curve, summarize(curve))
     if out_path is None:
         sys.stdout.write(text)
     else:

@@ -59,7 +59,7 @@ class EmitterGeometry:
         if not (self.kd > 0 and math.isfinite(self.kd)):
             raise ValueError(f"kd must be positive and finite, got {self.kd}")
         # No route forms a phase beyond N * 2kd: emitter phases are at most N * kd,
-        # and the closed kernel takes sin(N x / 2) with |x| <= 2kd.
+        # and the detector phase x is at most 2kd.
         if not math.isfinite(2 * self.n_emitters * self.kd):
             raise ValueError(
                 f"kd = {self.kd:g} is too large for N = {self.n_emitters} emitters: "

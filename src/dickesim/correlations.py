@@ -34,8 +34,6 @@ from .functional import build_functional, extract_gm
 PATH_BUDGET = 1e8
 # Most phase factors (subsets x m x m) g_m_pathsum gathers at once.
 PATH_CHUNK = 2**20
-# Below this |sin(x/2)| the interference kernel is replaced by its limit N^2.
-SINGULARITY_EPS = 1e-8
 
 METHODS = ("exact", "pathsum", "closed", "functional")
 
@@ -132,11 +130,17 @@ def g_m_pathsum(geometry: EmitterGeometry, detectors) -> float:
 
 
 def interference_kernel(n_emitters: int, phase_x):
-    """sin^2(N x/2)/sin^2(x/2) elementwise, N^2 where |sin(x/2)| < SINGULARITY_EPS."""
+    """sin^2(N x/2)/sin^2(x/2) elementwise, on x reduced to [-pi, pi].
+
+    The kernel has period 2*pi, so the phase is reduced first; its only
+    singular points are then the zeros of sin(x/2), where it takes its
+    limit N^2.
+    """
     x = np.asarray(phase_x, dtype=float)
+    x = x - 2.0 * math.pi * np.rint(x / (2.0 * math.pi))
     half = np.sin(x / 2.0)
     # A single emitter is its own limit everywhere: ones of the phase's shape.
-    singular = (np.abs(half) < SINGULARITY_EPS) | (n_emitters == 1)
+    singular = (half == 0.0) | (n_emitters == 1)
     ratio = np.sin(n_emitters * x / 2.0) / np.where(singular, 1.0, half)
     kernel = np.where(singular, float(n_emitters) ** 2, ratio * ratio)
     return kernel if kernel.ndim else float(kernel)
@@ -301,7 +305,9 @@ def summarize(curve: CorrelationCurve) -> CurveSummary:
     first_zero = float(x[1 + hits[0]]) if hits.size else math.nan
 
     if x.size > 1 and x[-1] > x[0]:
-        angular_mean = float(np.trapezoid(v, x) / (x[-1] - x[0]))
+        # On the abscissa normalised to [0, 1], so that no product of a phase
+        # step and a value overflows; the span itself is at most 2kd.
+        angular_mean = float(np.trapezoid(v, (x - x[0]) / (x[-1] - x[0])))
     else:
         angular_mean = float(v.mean())
 

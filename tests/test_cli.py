@@ -5,6 +5,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
+import dickesim.cli
 import dickesim.verify
 from dickesim.cli import main
 from dickesim.correlations import METHODS
@@ -247,6 +248,28 @@ def test_huge_finite_kd_exits_2_with_one_line(args, capsys):
     err = capsys.readouterr().err
     assert err.startswith("error: kd = 1e+308 is too large")
     assert err.count("\n") == 1
+
+
+# kd just below the 2 * N * kd bound: phase steps times values overflow a float.
+NEAR_BOUND_KD = ["--n-atoms", "3", "--order", "2", "--kd", "2.9e307", "--theta2-steps", "7"]
+
+
+def test_json_summary_near_the_kd_bound_is_finite(capsys):
+    # A RuntimeWarning from the angular mean is an error under pytest.
+    assert run(NEAR_BOUND_KD + ["--format", "json"]) == 0
+    out, err = capsys.readouterr()
+    assert err == ""
+    assert math.isfinite(json.loads(out)["summary"]["angular_mean"])
+
+
+def test_csv_scan_computes_no_summary(capsys, monkeypatch):
+    def no_summary(curve):
+        raise AssertionError("a CSV scan computed a summary")
+
+    monkeypatch.setattr(dickesim.cli, "summarize", no_summary)
+    assert run(NEAR_BOUND_KD + ["--format", "csv"]) == 0
+    out, err = capsys.readouterr()
+    assert err == "" and out.startswith("# dickesim ")
 
 
 def test_functional_term_bound_checked_before_allocation(capsys):

@@ -14,8 +14,10 @@ from dickesim import (
     EmitterGeometry,
     PathBudgetExceeded,
     angular_average_gm,
+    build_functional,
     dicke_intensity_closed,
     dicke_state,
+    extract_gm,
     fully_excited,
     g2_thermal_reference,
     g2_two_atom_normalized,
@@ -28,6 +30,7 @@ from dickesim import (
     visibility_formula,
 )
 from dickesim.correlations import interference_kernel
+from dickesim.projection import rel_dev
 
 KD = 2 * math.pi
 
@@ -222,11 +225,13 @@ class TestElementwiseClosedForm:
             assert np.array_equal(interference_kernel(n, xs), np.array(scalars))
 
     def test_matches_the_scalar_math_formula(self):
-        # The per-point math-module form the closed route used before, kept as
-        # the reference; sin and the square may round differently, so a few ulp.
+        # The per-point math-module form of the closed route, on the phase
+        # reduced to [-pi, pi], kept as the reference; sin and the square may
+        # round differently, so a few ulp.
         def kernel(n, x):
+            x -= 2 * math.pi * round(x / (2 * math.pi))
             half = math.sin(x / 2.0)
-            if abs(half) < 1e-8:
+            if half == 0.0:
                 return float(n) ** 2
             return (math.sin(n * x / 2.0) / half) ** 2
 
@@ -252,6 +257,17 @@ class TestElementwiseClosedForm:
                 assert np.all(values == values[0])
                 assert values[0] == pytest.approx(peak, rel=1e-15)
 
+    def test_kernel_is_periodic_to_rounding(self):
+        # Next to the side peaks x = 2*pi*k, sin(N x / 2) on the unreduced
+        # phase loses up to 1e-7 relative.
+        deltas = np.array([1e-10, 7e-8, -3e-7, 1e-3])
+        for n, k in itertools.product((2, 12, 20), (1, -1, 2, -2)):
+            np.testing.assert_allclose(
+                interference_kernel(n, 2 * math.pi * k + deltas),
+                interference_kernel(n, deltas),
+                rtol=1e-14,
+            )
+
     def test_single_emitter_gives_ones_of_the_grid_shape(self):
         grid = np.linspace(-3.0, 3.0, 12).reshape(3, 4)
         for f in (g_m_closed_coincident, dicke_intensity_closed):
@@ -260,6 +276,16 @@ class TestElementwiseClosedForm:
         assert np.all(interference_kernel(1, grid) == np.ones(grid.shape))
         # A lone emitter's G is 1 whatever the phase, as its scalar form always was.
         assert g_m_closed_coincident(1, 1, math.nan) == 1.0
+
+
+def test_closed_form_matches_the_functional_next_to_a_side_peak():
+    # theta1 just inside -pi/2 puts x = kd sin(theta1) within 3e-8 of -2*pi;
+    # sin(N x / 2) on the unreduced phase is off there by 4.9e-9 relative.
+    theta1, n, m = -1.5706485006530568, 20, 10
+    geometry = EmitterGeometry(n, KD)
+    closed = g_m_closed_coincident(n, m, KD * math.sin(theta1))
+    functional = extract_gm(build_functional(geometry, [theta1, 0.0]), (m - 1, 1))
+    assert rel_dev(closed, functional) <= 1e-12
 
 
 def test_closed_form_prefactor_is_exact():
