@@ -8,6 +8,7 @@ Examples:
 from __future__ import annotations
 
 import argparse
+import contextlib
 import json
 import math
 import sys
@@ -74,15 +75,12 @@ def build_parser() -> argparse.ArgumentParser:
     return p
 
 
-def _render_csv(config: RunConfig, curve) -> str:
-    lines = [
-        f"# dickesim {__version__}",
-        "# config " + json.dumps(asdict(config), sort_keys=True),
-        "theta2_rad,phase_x,value,method",
-    ]
+def _write_csv(fh, config: RunConfig, curve) -> None:
+    fh.write(f"# dickesim {__version__}\n")
+    fh.write("# config " + json.dumps(asdict(config), sort_keys=True) + "\n")
+    fh.write("theta2_rad,phase_x,value,method\n")
     for t, x, v in zip(curve.theta2_grid, curve.phase_x, curve.values):
-        lines.append(f"{t:.17g},{x:.17g},{v:.17g},{curve.method}")
-    return "\n".join(lines) + "\n"
+        fh.write(f"{t:.17g},{x:.17g},{v:.17g},{curve.method}\n")
 
 
 def _render_json(config: RunConfig, curve, summary) -> str:
@@ -107,15 +105,16 @@ def run_scan(config: RunConfig, out_path: str | None) -> int:
     geometry = EmitterGeometry(config.n_emitters, config.kd)
     grid = np.linspace(config.theta2_min, config.theta2_max, config.theta2_steps)
     curve = scan_curve(geometry, config.order_m, config.theta1_rad, grid, config.method)
-    # Only JSON output carries a summary.
-    if config.output_format == "csv":
-        text = _render_csv(config, curve)
-    else:
-        text = _render_json(config, curve, summarize(curve))
+    # Only JSON output carries a summary, rendered before the destination opens.
+    text = None if config.output_format == "csv" else _render_json(config, curve, summarize(curve))
     if out_path is None:
-        sys.stdout.write(text)
+        dest = contextlib.nullcontext(sys.stdout)
     else:
-        with open(out_path, "w", encoding="utf-8", newline="\n") as fh:
+        dest = open(out_path, "w", encoding="utf-8", newline="\n")
+    with dest as fh:
+        if text is None:
+            _write_csv(fh, config, curve)
+        else:
             fh.write(text)
     return 0
 

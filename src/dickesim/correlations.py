@@ -2,8 +2,9 @@
 
 * g_m_exact     -- operator algebra on the dense state vector
 * g_m_pathsum   -- coherent sum over which-emitter assignments, one
-                   permanent per emitter subset by Glynn's formula
-                   (shares no kernel with the engine; serves as the oracle)
+                   permanent per emitter subset by Glynn's formula, one
+                   matrix product per block of m sign vectors (shares no
+                   kernel with the engine; serves as the oracle)
 * g_m_closed_coincident -- analytic form for (m-1) coincident detectors,
                    elementwise: a float for a scalar phase, an array for an array
 
@@ -88,9 +89,9 @@ def g_m_pathsum(geometry: EmitterGeometry, detectors) -> float:
     assignments of detectors to emitters is the permanent of the m x m
     phase submatrix; the squared moduli add incoherently.  Each permanent
     is taken by Glynn's formula (D. G. Glynn, Eur. J. Combin. 31, 1887
-    (2010)), a signed sum over 2^(m-1) sign vectors visited in Gray-code
-    order, so one row update and one product per vector.  Complexity
-    C(N, m) * 2^(m-1) * m.  Subsets are streamed in tiles of at most
+    (2010)) as written: a signed sum over 2^(m-1) sign vectors, whose row
+    sums are one matrix product per block of m vectors.  Complexity
+    C(N, m) * 2^(m-1) * m^2.  Subsets are streamed in tiles of at most
     PATH_CHUNK phase factors, so memory does not grow with N.
     """
     angles = as_angles(detectors)
@@ -105,26 +106,21 @@ def g_m_pathsum(geometry: EmitterGeometry, detectors) -> float:
     phase_matrix = np.exp(-1j * geometry.kd * np.outer(emitter_idx, sines))
 
     total = 0.0
+    n_signs = 1 << (m - 1)
     subsets = itertools.combinations(range(n), m)
-    for block in _batches(subsets, max(1, PATH_CHUNK // m**2), m):
-        # a[s, r, j]: phase of emitter block[s, r] toward detector j
-        a = phase_matrix[block]
+    for tile in _batches(subsets, max(1, PATH_CHUNK // m**2), m):
+        # a[r, j * len(tile) + s]: phase of emitter tile[s, r] toward detector j
+        a = phase_matrix[tile.T[:, None, :], np.arange(m)[:, None]].reshape(m, -1)
         # Glynn: perm(a) = 2^(1-m) * sum over delta in {+1} x {+-1}^(m-1)
-        # of prod(delta) * prod_j sum_r delta_r a[r, j]
-        sums = a.sum(axis=1)
-        acc = sums.prod(axis=1)
-        delta = [1] * m
-        for k in range(1, 1 << (m - 1)):
-            # Gray code: step k flips the row after k's lowest set bit,
-            # and prod(delta) is (-1)^k.
-            i = (k & -k).bit_length()
-            delta[i] = -delta[i]
-            sums += (2 * delta[i]) * a[:, i, :]
-            if k & 1:
-                acc -= sums.prod(axis=1)
-            else:
-                acc += sums.prod(axis=1)
-        amplitudes = acc / (1 << (m - 1))
+        # of prod(delta) * prod_j sum_r delta_r a[r, j]; sign vector k has
+        # delta_r = -1 where bit r-1 of k is set.  One expression per block, so
+        # that its row sums are freed before the next block's are formed.
+        acc = np.zeros(len(tile), dtype=complex)
+        for start in range(0, n_signs, m):
+            k = np.arange(start, min(start + m, n_signs))
+            delta = 1 - 2 * ((2 * k[:, None] >> np.arange(m)) & 1)
+            acc += delta.prod(axis=1) @ (delta @ a).reshape(len(k), m, -1).prod(axis=1)
+        amplitudes = acc / n_signs
         total += float((amplitudes.real**2 + amplitudes.imag**2).sum())
     return total
 
@@ -296,7 +292,8 @@ def summarize(curve: CorrelationCurve) -> CurveSummary:
 
     vmax = float(v.max())
     vmin = float(v.min())
-    visibility = 0.0 if vmax + vmin == 0.0 else (vmax - vmin) / (vmax + vmin)
+    # On halves (exact short of subnormals): a sum of two values may overflow.
+    visibility = 0.0 if vmax + vmin == 0.0 else (vmax - vmin) / 2 / (vmax / 2 + vmin / 2)
 
     # First interior point at positive phase that is a local minimum below the peak.
     inner = v[1:-1]
@@ -306,8 +303,9 @@ def summarize(curve: CorrelationCurve) -> CurveSummary:
 
     if x.size > 1 and x[-1] > x[0]:
         # On the abscissa normalised to [0, 1], so that no product of a phase
-        # step and a value overflows; the span itself is at most 2kd.
-        angular_mean = float(np.trapezoid(v, (x - x[0]) / (x[-1] - x[0])))
+        # step and a value overflows; the span itself is at most 2kd.  Taken on
+        # halves and doubled, as the visibility.
+        angular_mean = 2.0 * float(np.trapezoid(0.5 * v, (x - x[0]) / (x[-1] - x[0])))
     else:
         angular_mean = float(v.mean())
 

@@ -41,7 +41,8 @@ class _Tracker:
         self.worst = "none"
 
     def record(self, dev: float, label: str):
-        if dev > self.max_dev:
+        # A NaN deviation is never <= anything: it is recorded, and never replaced.
+        if not dev <= self.max_dev and not math.isnan(self.max_dev):
             self.max_dev = dev
             self.worst = label
 

@@ -262,6 +262,40 @@ def test_json_summary_near_the_kd_bound_is_finite(capsys):
     assert math.isfinite(json.loads(out)["summary"]["angular_mean"])
 
 
+def test_json_summary_of_values_near_the_float_maximum_is_finite(capsys):
+    # Every value is finite (peak 1.4e308), but the sum of two neighbours is not.
+    args = ["--method", "closed", "--n-atoms", "115", "--order", "92",
+            "--theta2-steps", "181", "--format", "json"]
+    assert run(args) == 0
+    out, err = capsys.readouterr()
+    assert err == ""
+    assert json.loads(out)["summary"]["angular_mean"] == pytest.approx(2.1556156483271146e306)
+
+
+@pytest.mark.parametrize("fmt", ["csv", "json"])
+def test_stdout_and_out_file_are_identical(fmt, tmp_path, capsys):
+    args = ["--n-atoms", "5", "--order", "3", "--theta2-steps", "41", "--format", fmt]
+    assert run(args) == 0
+    out = tmp_path / f"scan.{fmt}"
+    assert run(args + ["--out", str(out)]) == 0
+    assert capsys.readouterr().out.encode("utf-8") == out.read_bytes()
+
+
+def test_csv_scan_is_written_row_by_row(tmp_path):
+    # The three 20,000-point float arrays take 0.5 MB; the whole CSV text 1.3 MB.
+    out = tmp_path / "scan.csv"
+    tracemalloc.start()
+    try:
+        code = run(["--n-atoms", "12", "--order", "6", "--theta2-steps", "20000",
+                    "--out", str(out)])
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert code == 0
+    assert out.read_text(encoding="utf-8").count("\n") == 20003
+    assert peak < 2.5 * (1 << 20)
+
+
 def test_csv_scan_computes_no_summary(capsys, monkeypatch):
     def no_summary(curve):
         raise AssertionError("a CSV scan computed a summary")

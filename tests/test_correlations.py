@@ -131,13 +131,19 @@ class TestPathsum:
     def test_matches_literal_enumeration_at_random_angles(self, n, m, kd, angles):
         assert_matches_literal_pathsum(EmitterGeometry(n, kd), tuple(angles[: min(m, n)]))
 
-    def test_full_order_at_sixteen_emitters_matches_closed_form(self):
-        # One 16 x 16 permanent: 2^15 Glynn terms in place of 16! = 2.1e13 paths.
-        g = EmitterGeometry(16, KD)
-        det = DetectorList.coincident(0.1, 16, 0.4)
-        x = KD * (math.sin(0.1) - math.sin(0.4))
+    @pytest.mark.parametrize(
+        "n, theta1, theta2, rel",
+        [(16, 0.1, 0.4, 1e-9), (20, 0.0, 0.05, 1e-11)],
+        ids=["16", "20"],
+    )
+    def test_full_order_matches_closed_form(self, n, theta1, theta2, rel):
+        # One n x n permanent: 2^(n-1) Glynn terms in place of n! paths (2.1e13
+        # at n = 16).  At n = 20 the point lies near a zero of the kernel.
+        g = EmitterGeometry(n, KD)
+        det = DetectorList.coincident(theta1, n, theta2)
+        x = KD * (math.sin(theta1) - math.sin(theta2))
         assert g_m_pathsum(g, det) == pytest.approx(
-            g_m_closed_coincident(16, 16, x), rel=1e-9
+            g_m_closed_coincident(n, n, x), rel=rel
         )
 
     def test_budget_guard(self):
@@ -390,6 +396,14 @@ class TestScanAndSummary:
         grid = np.arcsin(-xs / KD)[::-1]
         summary = summarize(scan_curve(g, 6, 0.0, grid, "closed"))
         assert summary.visibility == pytest.approx(1.0, abs=1e-9)
+
+    def test_summary_of_values_near_the_float_maximum(self):
+        # Every value is finite, but the sum of two of them is not.
+        values = np.array([0.81e308, 1.62e308, 0.81e308])
+        curve = CorrelationCurve(np.arange(3.0), np.array([-1.0, 0.0, 1.0]), values, "closed")
+        summary = summarize(curve)
+        assert summary.visibility == pytest.approx(1 / 3, rel=1e-15)
+        assert summary.angular_mean == pytest.approx(1.215e308, rel=1e-15)
 
     def test_grid_validation(self):
         g = EmitterGeometry(3, KD)

@@ -3,6 +3,8 @@
 Each test first runs the suite as is at a small size, then plants a fault in
 one route, as the suite's module sees it, and runs the suite again.
 """
+import math
+
 import pytest
 
 import dickesim.correlations
@@ -35,6 +37,8 @@ def offset_cascade(geometry, theta1, count, state):
 CASES = [
     (lambda: cross_method_suite(n_max=4, n_tuples=5),
      dickesim.verify, "g_m_pathsum", flipped_pathsum),
+    (lambda: cross_method_suite(n_max=4, n_tuples=3),
+     dickesim.verify, "g_m_pathsum", lambda *args, **kwargs: math.nan),
     (lambda: coincident_oracle_suite(n_max=4, n_tuples=5),
      dickesim.verify, "g_m_closed_coincident",
      scaled(dickesim.verify.g_m_closed_coincident)),
@@ -50,8 +54,8 @@ CASES = [
 @pytest.mark.parametrize(
     "suite, module, route, faulty",
     CASES,
-    ids=["cross-method", "coincident-oracle", "factorization", "dicke-preparation",
-         "functional-invariant"],
+    ids=["cross-method", "cross-method-nan", "coincident-oracle", "factorization",
+         "dicke-preparation", "functional-invariant"],
 )
 def test_planted_fault_fails_the_suite(suite, module, route, faulty, monkeypatch):
     clean = suite()
