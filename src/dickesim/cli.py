@@ -8,7 +8,6 @@ Examples:
 from __future__ import annotations
 
 import argparse
-import contextlib
 import json
 import math
 import sys
@@ -79,11 +78,13 @@ def _write_csv(fh, config: RunConfig, curve) -> None:
     fh.write(f"# dickesim {__version__}\n")
     fh.write("# config " + json.dumps(asdict(config), sort_keys=True) + "\n")
     fh.write("theta2_rad,phase_x,value,method\n")
-    for t, x, v in zip(curve.theta2_grid, curve.phase_x, curve.values):
+    # Memoryviews yield Python floats, which format faster than NumPy scalars.
+    for t, x, v in zip(*map(memoryview, (curve.theta2_grid, curve.phase_x, curve.values))):
         fh.write(f"{t:.17g},{x:.17g},{v:.17g},{curve.method}\n")
 
 
-def _render_json(config: RunConfig, curve, summary) -> str:
+def _write_json(fh, config: RunConfig, curve) -> None:
+    summary = summarize(curve)
     payload = {
         "tool": "dickesim",
         "version": __version__,
@@ -97,7 +98,8 @@ def _render_json(config: RunConfig, curve, summary) -> str:
         # An undefined value (first_zero_phase with no interior minimum) is null.
         "summary": {k: None if math.isnan(v) else v for k, v in asdict(summary).items()},
     }
-    return json.dumps(payload, sort_keys=True, indent=2, allow_nan=False) + "\n"
+    json.dump(payload, fh, sort_keys=True, indent=2, allow_nan=False)
+    fh.write("\n")
 
 
 def run_scan(config: RunConfig, out_path: str | None) -> int:
@@ -105,17 +107,13 @@ def run_scan(config: RunConfig, out_path: str | None) -> int:
     geometry = EmitterGeometry(config.n_emitters, config.kd)
     grid = np.linspace(config.theta2_min, config.theta2_max, config.theta2_steps)
     curve = scan_curve(geometry, config.order_m, config.theta1_rad, grid, config.method)
-    # Only JSON output carries a summary, rendered before the destination opens.
-    text = None if config.output_format == "csv" else _render_json(config, curve, summarize(curve))
+    # Both formats stream into the open destination; only JSON carries a summary.
+    write = _write_csv if config.output_format == "csv" else _write_json
     if out_path is None:
-        dest = contextlib.nullcontext(sys.stdout)
+        write(sys.stdout, config, curve)
     else:
-        dest = open(out_path, "w", encoding="utf-8", newline="\n")
-    with dest as fh:
-        if text is None:
-            _write_csv(fh, config, curve)
-        else:
-            fh.write(text)
+        with open(out_path, "w", encoding="utf-8", newline="\n") as fh:
+            write(fh, config, curve)
     return 0
 
 
@@ -124,6 +122,8 @@ def run_verify(args) -> int:
         raise ValueError("--verify needs --n-atoms >= 2")
     if args.tuples < 1:
         raise ValueError(f"--verify needs --tuples >= 1, got {args.tuples}")
+    if args.seed < 0:
+        raise ValueError(f"--verify needs --seed >= 0, got {args.seed}")
     results = run_all(n_max=args.n_atoms, n_tuples=args.tuples, kd=args.kd, seed=args.seed)
     failed = False
     for res in results:

@@ -136,7 +136,10 @@ def extract_gm(poly: FormalPolynomial, multiplicities: Sequence[int]) -> float:
     derivatives; a missing coefficient means the detection pattern is
     impossible and yields 0.
     """
-    mults = tuple(int(x) for x in multiplicities)
+    given = tuple(multiplicities)
+    if not all(float(x).is_integer() for x in given):
+        raise ValueError(f"multiplicities must be integers, got {given}")
+    mults = tuple(int(x) for x in given)
     if len(mults) != poly.n_vars:
         raise ValueError(
             f"expected {poly.n_vars} multiplicities, got {len(mults)}"

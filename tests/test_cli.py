@@ -8,7 +8,8 @@ import pytest
 import dickesim.cli
 import dickesim.verify
 from dickesim.cli import main
-from dickesim.correlations import METHODS
+from dickesim.core import EmitterGeometry
+from dickesim.correlations import METHODS, scan_curve
 
 
 def run(args):
@@ -120,6 +121,13 @@ def test_verify_rejects_fewer_than_one_tuple(tuples, capsys):
     assert run(["--verify", "--n-atoms", "4", "--tuples", tuples]) == 2
     err = capsys.readouterr().err
     assert err.startswith("error:") and f"--tuples >= 1, got {tuples}" in err
+
+
+def test_verify_rejects_a_negative_seed(capsys):
+    assert run(["--verify", "--n-atoms", "4", "--seed", "-1"]) == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err.startswith("error:") and "--seed >= 0, got -1" in err
 
 
 def test_verify_passes(capsys):
@@ -294,6 +302,42 @@ def test_csv_scan_is_written_row_by_row(tmp_path):
     assert code == 0
     assert out.read_text(encoding="utf-8").count("\n") == 20003
     assert peak < 2.5 * (1 << 20)
+
+
+def test_json_scan_is_streamed(tmp_path):
+    # The three lists of 20,000 floats take 2.3 MiB; the text rendered whole first, 8.5 MiB.
+    out = tmp_path / "scan.json"
+    tracemalloc.start()
+    try:
+        code = run(["--n-atoms", "12", "--order", "6", "--theta2-steps", "20000",
+                    "--format", "json", "--out", str(out)])
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert code == 0
+    assert len(json.loads(out.read_text(encoding="utf-8"))["curve"]["value"]) == 20000
+    assert peak < 4 * (1 << 20)
+
+
+def test_json_scan_keeps_the_indented_sorted_layout(tmp_path):
+    out = tmp_path / "scan.json"
+    assert run(["--n-atoms", "5", "--order", "3", "--theta2-steps", "41",
+                "--format", "json", "--out", str(out)]) == 0
+    text = out.read_text(encoding="utf-8")
+    assert text == json.dumps(json.loads(text), sort_keys=True, indent=2) + "\n"
+
+
+def test_csv_rows_match_numpy_scalar_formatting(tmp_path):
+    # The functional route clamps the fringe zeros of N=2, m=2 to exact zeros.
+    out = tmp_path / "scan.csv"
+    assert run(["--method", "functional", "--n-atoms", "2", "--order", "2",
+                "--out", str(out)]) == 0
+    grid = np.linspace(-math.pi / 2, math.pi / 2, 181)
+    curve = scan_curve(EmitterGeometry(2, 2 * math.pi), 2, 0.0, grid, "functional")
+    assert (curve.values == 0.0).sum() == 2 and (curve.phase_x == 0.0).sum() == 1
+    rows = [f"{t:.17g},{x:.17g},{v:.17g},functional"
+            for t, x, v in zip(curve.theta2_grid, curve.phase_x, curve.values)]
+    assert out.read_text(encoding="utf-8").splitlines()[3:] == rows
 
 
 def test_csv_scan_computes_no_summary(capsys, monkeypatch):

@@ -213,6 +213,9 @@ def test_extract_validates_multiplicities():
         extract_gm(poly, (0, 0))
     with pytest.raises(ValueError):
         extract_gm(poly, (-1, 2))
+    with pytest.raises(ValueError, match=r"integers, got \(1\.5, 0\.7\)"):
+        extract_gm(poly, (1.5, 0.7))
+    assert extract_gm(poly, (1.0, np.int64(1))) == extract_gm(poly, (1, 1))
 
 
 def test_angle_count_cap():
