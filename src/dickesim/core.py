@@ -114,7 +114,12 @@ class StateVector:
 
     def __post_init__(self):
         dim = _dense_dim(self.n_emitters)
-        amps = np.array(self.amplitudes, dtype=np.complex128, copy=True)
+        amps = self.amplitudes
+        # Keep an owned, read-only complex128 array (as apply_field makes);
+        # copy anything a caller could still write through.
+        owned = type(amps) is np.ndarray and amps.flags.owndata and not amps.flags.writeable
+        if not (owned and amps.dtype == np.complex128):
+            amps = np.array(amps, dtype=np.complex128, copy=True)
         if amps.shape != (dim,):
             raise ValueError(
                 f"amplitude vector has shape {amps.shape}, expected ({dim},)"
@@ -188,12 +193,23 @@ def apply_field(geometry: EmitterGeometry, theta: float, state: StateVector) -> 
     n = state.n_emitters
     if geometry.n_emitters != n:
         raise ValueError("geometry and state disagree on emitter count")
+    # Only occupied basis states contribute: after k detections of the fully
+    # excited state that is C(N, k) of the 2**N amplitudes.
+    occupied = np.flatnonzero(state.amplitudes != 0)
+    present = state.amplitudes[occupied]
     out = np.zeros(1 << n, dtype=np.complex128)
     for l in range(1, n + 1):
-        # Axis 1 of these views is bit (l-1): lower emitter l where it is excited.
-        src = state.amplitudes.reshape(-1, 2, 1 << (l - 1))
-        dst = out.reshape(-1, 2, 1 << (l - 1))
-        dst[:, 0] += cmath.exp(-1j * geometry.phase_of(l, theta)) * src[:, 1]
+        bit = 1 << (l - 1)
+        hit = (occupied & bit) != 0
+        # Lower emitter l where it is excited.  For a fixed l the targets
+        # occupied ^ bit are distinct, so += adds each term once, and every
+        # output amplitude sums its terms in ascending l.  `lowered` is named
+        # so that NumPy cannot reuse it in place: that would take
+        # lowered * phase, which rounds differently from phase * lowered.
+        lowered = present[hit]
+        phase = cmath.exp(-1j * geometry.phase_of(l, theta))
+        out[occupied[hit] ^ bit] += phase * lowered
+    out.flags.writeable = False
     return StateVector(out, n)
 
 

@@ -232,3 +232,39 @@ def test_state_vector_immutable_and_validated():
         StateVector(np.zeros(3, dtype=complex), 2)
     with pytest.raises((ValueError, RuntimeError)):
         st.amplitudes[0] = 1.0
+
+
+def test_state_vector_copies_a_writeable_array():
+    amps = np.array([0, 0, 0, 1], dtype=complex)
+    st = StateVector(amps, 2)
+    amps[3] = 5.0
+    assert st.amplitudes[3] == 1.0
+    assert not np.shares_memory(st.amplitudes, amps)
+
+
+def test_state_vector_copies_a_read_only_view_of_a_writeable_base():
+    base = np.array([0, 0, 0, 1], dtype=complex)
+    view = base[:]
+    view.flags.writeable = False
+    st = StateVector(view, 2)
+    base[3] = 5.0
+    assert st.amplitudes[3] == 1.0
+    assert not np.shares_memory(st.amplitudes, base)
+
+
+def test_state_vector_keeps_an_owned_read_only_complex_array():
+    amps = np.array([0, 0, 0, 1], dtype=complex)
+    amps.flags.writeable = False
+    assert StateVector(amps, 2).amplitudes is amps
+    # Any other dtype is converted, so copied.
+    real = np.array([0.0, 0.0, 0.0, 1.0])
+    real.flags.writeable = False
+    assert StateVector(real, 2).amplitudes.dtype == np.complex128
+
+
+def test_apply_field_output_is_read_only_and_shares_no_memory():
+    g = EmitterGeometry(3, KD)
+    state = fully_excited(3)
+    image = apply_field(g, 0.4, state)
+    assert not image.amplitudes.flags.writeable
+    assert not np.shares_memory(image.amplitudes, state.amplitudes)

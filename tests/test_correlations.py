@@ -284,6 +284,20 @@ class TestElementwiseClosedForm:
         assert g_m_closed_coincident(1, 1, math.nan) == 1.0
 
 
+@pytest.mark.parametrize(
+    "n, theta1, theta2",
+    [(n, t1, t2) for n in (12, 16) for t1, t2 in ((0.0, 0.05), (0.3, -0.7), (-1.2, 0.4))]
+    + [(20, 0.3, -0.7)],
+)
+def test_exact_engine_matches_closed_form_at_large_n(n, theta1, theta2):
+    # m = N/2: the dense engine on up to 2^20 amplitudes against the closed form.
+    m = n // 2
+    g = EmitterGeometry(n, KD)
+    exact = g_m_exact(g, DetectorList.coincident(theta1, m, theta2), fully_excited(n))
+    closed = g_m_closed_coincident(n, m, KD * (math.sin(theta1) - math.sin(theta2)))
+    assert abs(exact - closed) <= 1e-12 * max(abs(exact), abs(closed))
+
+
 def test_closed_form_matches_the_functional_next_to_a_side_peak():
     # theta1 just inside -pi/2 puts x = kd sin(theta1) within 3e-8 of -2*pi;
     # sin(N x / 2) on the unreduced phase is off there by 4.9e-9 relative.

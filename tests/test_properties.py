@@ -6,6 +6,7 @@ from hypothesis import given, settings, strategies as st
 
 from dickesim import (
     EmitterGeometry,
+    StateVector,
     apply_field,
     dicke_state,
     fully_excited,
@@ -22,6 +23,36 @@ angles = st.floats(
 )
 phases = st.floats(min_value=-10.0, max_value=10.0, allow_nan=False)
 kds = st.floats(min_value=0.1, max_value=12.0, allow_nan=False)
+# Real or imaginary parts of amplitudes.
+signed_zeros = st.sampled_from([0.0, -0.0])
+parts = st.one_of(signed_zeros, st.floats(-1.0, 1.0))
+nonzero_parts = st.floats(-1.0, 1.0).filter(bool)
+
+
+@st.composite
+def mixed_states(draw):
+    """A state on N <= 6 emitters: fully dense, sparse with signed zeros, or zero."""
+    n = draw(st.integers(1, 6))
+    real, imag = {
+        "dense": (nonzero_parts, parts),
+        "sparse": (parts, parts),
+        "zero": (signed_zeros, signed_zeros),
+    }[draw(st.sampled_from(["dense", "sparse", "zero"]))]
+    dim = 1 << n
+    amps = draw(st.lists(st.builds(complex, real, imag), min_size=dim, max_size=dim))
+    return StateVector(np.array(amps, dtype=complex), n)
+
+
+def field_matrix(geometry, theta):
+    """Sum over l of exp(-i phi_l) sigma_l, with sigma_l lowering bit (l-1)."""
+    n = geometry.n_emitters
+    lower = np.array([[0, 1], [0, 0]], dtype=complex)  # |1> (excited) -> |0>
+    total = np.zeros((1 << n, 1 << n), dtype=complex)
+    for l in range(1, n + 1):
+        # np.kron puts its first factor on the most significant bit: emitter N.
+        sigma = np.kron(np.kron(np.eye(1 << (n - l)), lower), np.eye(1 << (l - 1)))
+        total += np.exp(-1j * geometry.phase_of(l, theta)) * sigma
+    return total
 
 
 @given(n=st.integers(1, 8), n_ground=st.integers(0, 8))
@@ -49,6 +80,17 @@ def test_field_operators_commute(n, kd, ta, tb):
     ab = apply_field(g, tb, apply_field(g, ta, state))
     ba = apply_field(g, ta, apply_field(g, tb, state))
     assert np.max(np.abs(ab.amplitudes - ba.amplitudes)) < 1e-12
+
+
+@given(state=mixed_states(), kd=kds, theta=angles)
+@settings(deadline=None)
+def test_apply_field_is_the_explicit_field_matrix(state, kd, theta):
+    g = EmitterGeometry(state.n_emitters, kd)
+    image = apply_field(g, theta, state).amplitudes
+    expected = field_matrix(g, theta) @ state.amplitudes
+    assert np.max(np.abs(image - expected)) <= 1e-14
+    if not state.amplitudes.any():
+        assert not image.any()
 
 
 @given(n=st.integers(1, 6), kd=kds, theta=angles, delta=phases)
