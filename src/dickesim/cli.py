@@ -11,7 +11,7 @@ import argparse
 import json
 import math
 import sys
-from dataclasses import asdict, dataclass
+from dataclasses import asdict, dataclass, fields
 
 import numpy as np
 
@@ -23,6 +23,9 @@ from .verify import run_all
 
 # Largest theta2 grid a scan builds: 1e7 points is 80 MB per float array.
 MAX_THETA2_STEPS = 10**7
+# Options whose value may be a negative float in any notation.  argparse takes
+# a value such as -1e-05, -inf or -nan for an option: only -1 or -.5 look negative.
+FLOAT_OPTIONS = ("--kd", "--theta1", "--theta2-min", "--theta2-max")
 
 
 @dataclass(frozen=True)
@@ -49,6 +52,12 @@ class RunConfig:
                 "need finite --theta2-min < --theta2-max, "
                 f"got {self.theta2_min} and {self.theta2_max}"
             )
+        # Checked before np.linspace, which would overflow with a RuntimeWarning.
+        if math.isinf(self.theta2_max - self.theta2_min):
+            raise ValueError(
+                "--theta2-max minus --theta2-min overflows a float, "
+                f"got {self.theta2_min} and {self.theta2_max}"
+            )
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -56,15 +65,17 @@ def build_parser() -> argparse.ArgumentParser:
         prog="dickesim",
         description="Intensity-correlation scans for chains of two-level emitters",
     )
-    p.add_argument("--n-atoms", type=int, default=2)
-    p.add_argument("--order", type=int, default=2)
+    # Each dest is a RunConfig field; each metavar keeps the option's --help text.
+    p.add_argument("--n-atoms", dest="n_emitters", metavar="N_ATOMS", type=int, default=2)
+    p.add_argument("--order", dest="order_m", metavar="ORDER", type=int, default=2)
     p.add_argument("--kd", type=float, default=2 * math.pi)
-    p.add_argument("--theta1", type=float, default=0.0, help="fixed detector angle (rad)")
+    p.add_argument("--theta1", dest="theta1_rad", metavar="THETA1", type=float, default=0.0,
+                   help="fixed detector angle (rad)")
     p.add_argument("--theta2-min", type=float, default=-math.pi / 2)
     p.add_argument("--theta2-max", type=float, default=math.pi / 2)
     p.add_argument("--theta2-steps", type=int, default=181)
     p.add_argument("--method", choices=METHODS, default="closed")
-    p.add_argument("--format", choices=("csv", "json"), default="csv")
+    p.add_argument("--format", dest="output_format", choices=("csv", "json"), default="csv")
     p.add_argument("--out", default=None, help="output path (default: stdout)")
     p.add_argument("--verify", action="store_true", help="run cross-validation suites")
     p.add_argument("--seed", type=int, default=0)
@@ -118,13 +129,13 @@ def run_scan(config: RunConfig, out_path: str | None) -> int:
 
 
 def run_verify(args) -> int:
-    if args.n_atoms < 2:
+    if args.n_emitters < 2:
         raise ValueError("--verify needs --n-atoms >= 2")
     if args.tuples < 1:
         raise ValueError(f"--verify needs --tuples >= 1, got {args.tuples}")
     if args.seed < 0:
         raise ValueError(f"--verify needs --seed >= 0, got {args.seed}")
-    results = run_all(n_max=args.n_atoms, n_tuples=args.tuples, kd=args.kd, seed=args.seed)
+    results = run_all(n_max=args.n_emitters, n_tuples=args.tuples, kd=args.kd, seed=args.seed)
     failed = False
     for res in results:
         status = "PASS" if res.passed else "FAIL"
@@ -138,23 +149,32 @@ def run_verify(args) -> int:
     return 1 if failed else 0
 
 
+def _parses_as_float(text: str) -> bool:
+    try:
+        float(text)
+    except ValueError:
+        return False
+    return True
+
+
+def _attach_float_values(argv: list[str]) -> list[str]:
+    """Write "--theta1 -1e-05" as "--theta1=-1e-05", which argparse cannot misread."""
+    out: list[str] = []
+    for arg in argv:
+        if out and out[-1] in FLOAT_OPTIONS and _parses_as_float(arg):
+            out[-1] += "=" + arg
+        else:
+            out.append(arg)
+    return out
+
+
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
+    argv = sys.argv[1:] if argv is None else argv
+    args = build_parser().parse_args(_attach_float_values(argv))
     try:
         if args.verify:
             return run_verify(args)
-        config = RunConfig(
-            n_emitters=args.n_atoms,
-            order_m=args.order,
-            kd=args.kd,
-            theta1_rad=args.theta1,
-            theta2_min=args.theta2_min,
-            theta2_max=args.theta2_max,
-            theta2_steps=args.theta2_steps,
-            method=args.method,
-            output_format=args.format,
-            seed=args.seed,
-        )
+        config = RunConfig(**{f.name: getattr(args, f.name) for f in fields(RunConfig)})
         return run_scan(config, args.out)
     # OverflowError: a closed-form count too large for a float (e.g. N=200, m=100).
     except (ValueError, OverflowError, PathBudgetExceeded, OSError) as exc:

@@ -37,15 +37,6 @@ def _dense_dim(n_emitters: int) -> int:
     return 1 << n_emitters
 
 
-def _finite_angles(values) -> tuple[float, ...]:
-    angles = tuple(float(a) for a in values)
-    if not angles:
-        raise ValueError("need at least one detector")
-    if not all(map(math.isfinite, angles)):
-        raise ValueError(f"detector angles must be finite, got {angles}")
-    return angles
-
-
 @dataclass(frozen=True)
 class EmitterGeometry:
     """Linear chain of emitters with dimensionless spacing kd = (2*pi/lambda)*d."""
@@ -77,12 +68,17 @@ class EmitterGeometry:
 
 @dataclass(frozen=True)
 class DetectorList:
-    """Ordered detector angles (radians).  Order never affects a G-value."""
+    """Ordered detector angles (radians), from any iterable.  Order never affects a G-value."""
 
     angles: tuple[float, ...]
 
     def __post_init__(self):
-        object.__setattr__(self, "angles", _finite_angles(self.angles))
+        angles = tuple(float(a) for a in self.angles)
+        if not angles:
+            raise ValueError("need at least one detector")
+        if not all(map(math.isfinite, angles)):
+            raise ValueError(f"detector angles must be finite, got {angles}")
+        object.__setattr__(self, "angles", angles)
 
     @classmethod
     def coincident(cls, theta1: float, order_m: int, theta2: float) -> "DetectorList":
@@ -96,13 +92,6 @@ class DetectorList:
 
     def __iter__(self):
         return iter(self.angles)
-
-
-def as_angles(detectors) -> tuple[float, ...]:
-    """Accept a DetectorList or any iterable of angles."""
-    if isinstance(detectors, DetectorList):
-        return detectors.angles
-    return _finite_angles(detectors)
 
 
 @dataclass(frozen=True)

@@ -24,7 +24,6 @@ from .core import (
     EmitterGeometry,
     StateVector,
     apply_field,
-    as_angles,
     check_order,
     fully_excited,
 )
@@ -73,7 +72,7 @@ def g_m_exact(geometry: EmitterGeometry, detectors, state: StateVector) -> float
     Applies E+(theta_j) for every detector and returns the squared norm of
     the image.  Exactly 0 when m exceeds the number of excitations.
     """
-    angles = as_angles(detectors)
+    angles = DetectorList(detectors).angles
     if not state.is_normalized():
         raise ValueError("g_m_exact requires a normalized state")
     current = state
@@ -94,7 +93,7 @@ def g_m_pathsum(geometry: EmitterGeometry, detectors) -> float:
     C(N, m) * 2^(m-1) * m^2.  Subsets are streamed in tiles of at most
     PATH_CHUNK phase factors, so memory does not grow with N.
     """
-    angles = as_angles(detectors)
+    angles = DetectorList(detectors).angles
     n = geometry.n_emitters
     m = len(angles)
     if m > n:

@@ -8,6 +8,7 @@ product of stage weights reproduces the coincident-detector correlation.
 """
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
 from typing import Optional
@@ -131,11 +132,7 @@ def verify_factorization(
         dicke = intensity(geometry, theta2, dicke_state(n, order_m - 1)) * norm
 
     candidates = [direct, cascade] + ([dicke] if dicke is not None else [])
-    max_dev = max(
-        rel_dev(a, b)
-        for i, a in enumerate(candidates)
-        for b in candidates[i + 1 :]
-    )
+    max_dev = max(rel_dev(a, b) for a, b in itertools.combinations(candidates, 2))
     return FactorizationReport(
         direct=direct, cascade=cascade, dicke=dicke, max_rel_deviation=max_dev
     )

@@ -7,6 +7,9 @@ mode and the acceptance tests.
 """
 from __future__ import annotations
 
+import functools
+import inspect
+import itertools
 import math
 from dataclasses import dataclass
 
@@ -35,36 +38,34 @@ class SuiteResult:
     passed: bool
 
 
-class _Tracker:
-    def __init__(self):
-        self.max_dev = 0.0
-        self.worst = "none"
+def _suite(name: str):
+    """Reduce a suite's (deviation, case label) pairs to its SuiteResult."""
 
-    def record(self, dev: float, label: str):
-        # A NaN deviation is never <= anything: it is recorded, and never replaced.
-        if not dev <= self.max_dev and not math.isnan(self.max_dev):
-            self.max_dev = dev
-            self.worst = label
+    def reduce(checks):
+        @functools.wraps(checks)
+        def run(*args, **kwargs) -> SuiteResult:
+            max_dev, worst = 0.0, "none"
+            for dev, label in checks(*args, **kwargs):
+                # A NaN deviation is never <= anything: it is kept, and never replaced.
+                if not dev <= max_dev and not math.isnan(max_dev):
+                    max_dev, worst = dev, label
+            return SuiteResult(name, REL_TOL, max_dev, worst, max_dev <= REL_TOL)
 
-    def result(self, name: str) -> SuiteResult:
-        return SuiteResult(
-            name=name,
-            tolerance=REL_TOL,
-            max_deviation=self.max_dev,
-            worst_case=self.worst,
-            passed=self.max_dev <= REL_TOL,
-        )
+        run.__signature__ = inspect.signature(checks).replace(return_annotation="SuiteResult")
+        return run
+
+    return reduce
 
 
+@_suite("cross-method (exact vs pathsum)")
 def cross_method_suite(
     n_max: int = 8,
     n_tuples: int = 100,
     kd: float = 2 * math.pi,
     seed: int = 0,
-) -> SuiteResult:
+):
     """Exact engine vs. brute-force path sum on random detector tuples."""
     rng = np.random.default_rng(seed)
-    tracker = _Tracker()
     for n in range(2, n_max + 1):
         geometry = EmitterGeometry(n, kd)
         state = fully_excited(n)
@@ -74,21 +75,18 @@ def cross_method_suite(
                 angles = tuple(float(t) for t in row)
                 a = g_m_exact(geometry, angles, state)
                 b = g_m_pathsum(geometry, angles)
-                tracker.record(
-                    rel_dev(a, b), f"N={n} m={m} angles={np.round(row, 4).tolist()}"
-                )
-    return tracker.result("cross-method (exact vs pathsum)")
+                yield rel_dev(a, b), f"N={n} m={m} angles={np.round(row, 4).tolist()}"
 
 
+@_suite("coincident four-way oracle")
 def coincident_oracle_suite(
     n_max: int = 8,
     n_tuples: int = 100,
     kd: float = 2 * math.pi,
     seed: int = 1,
-) -> SuiteResult:
+):
     """Exact, path-sum, closed-form, and polynomial routes at coincident detectors."""
     rng = np.random.default_rng(seed)
-    tracker = _Tracker()
     for n in range(2, n_max + 1):
         geometry = EmitterGeometry(n, kd)
         state = fully_excited(n)
@@ -105,25 +103,20 @@ def coincident_oracle_suite(
                     "closed": g_m_closed_coincident(n, m, x),
                     "functional": extract_gm(poly, (m - 1, 1)),
                 }
-                names = list(values)
-                for i, p in enumerate(names):
-                    for q in names[i + 1 :]:
-                        tracker.record(
-                            rel_dev(values[p], values[q]),
-                            f"N={n} m={m} {p}/{q} theta1={theta1:.4f} theta2={theta2:.4f}",
-                        )
-    return tracker.result("coincident four-way oracle")
+                for (p, a), (q, b) in itertools.combinations(values.items(), 2):
+                    label = f"N={n} m={m} {p}/{q} theta1={theta1:.4f} theta2={theta2:.4f}"
+                    yield rel_dev(a, b), label
 
 
+@_suite("conditioning factorization")
 def factorization_suite(
     n_max: int = 8,
     n_tuples: int = 20,
     kd: float = 2 * math.pi,
     seed: int = 2,
-) -> SuiteResult:
+):
     """Conditioning factorization, including the theta1 = 0 Dicke route."""
     rng = np.random.default_rng(seed)
-    tracker = _Tracker()
     for n in range(2, n_max + 1):
         geometry = EmitterGeometry(n, kd)
         for m in range(1, n + 1):
@@ -131,20 +124,17 @@ def factorization_suite(
                 theta1 = float(rng.uniform(-math.pi / 2, math.pi / 2))
                 theta2 = float(rng.uniform(-math.pi / 2, math.pi / 2))
                 report = verify_factorization(geometry, m, theta1, theta2)
-                tracker.record(
-                    report.max_rel_deviation,
-                    f"N={n} m={m} theta1={theta1:.4f} theta2={theta2:.4f}",
-                )
+                label = f"N={n} m={m} theta1={theta1:.4f} theta2={theta2:.4f}"
+                yield report.max_rel_deviation, label
             report = verify_factorization(
                 geometry, m, 0.0, float(rng.uniform(-math.pi / 2, math.pi / 2))
             )
-            tracker.record(report.max_rel_deviation, f"N={n} m={m} theta1=0")
-    return tracker.result("conditioning factorization")
+            yield report.max_rel_deviation, f"N={n} m={m} theta1=0"
 
 
-def dicke_preparation_suite(n_max: int = 10, kd: float = 2 * math.pi) -> SuiteResult:
+@_suite("Dicke preparation")
+def dicke_preparation_suite(n_max: int = 10, kd: float = 2 * math.pi):
     """Cascaded subtraction at theta1 = 0 must land on the symmetric Dicke state."""
-    tracker = _Tracker()
     for n in range(2, n_max + 1):
         geometry = EmitterGeometry(n, kd)
         state = fully_excited(n)
@@ -152,21 +142,20 @@ def dicke_preparation_suite(n_max: int = 10, kd: float = 2 * math.pi) -> SuiteRe
             cas = cascade_subtract(geometry, 0.0, m - 1, state)
             target = dicke_state(n, m - 1)
             fidelity = abs(cas.projected_state.overlap(target)) ** 2
-            tracker.record(abs(1.0 - fidelity), f"N={n} m={m} fidelity")
+            yield abs(1.0 - fidelity), f"N={n} m={m} fidelity"
             expected = math.comb(n, m - 1) * math.factorial(m - 1) ** 2
-            tracker.record(rel_dev(cas.weight, expected), f"N={n} m={m} weight")
-    return tracker.result("Dicke preparation")
+            yield rel_dev(cas.weight, expected), f"N={n} m={m} weight"
 
 
+@_suite("generating polynomial vs exact")
 def functional_invariant_suite(
     n_max: int = 8,
     n_tuples: int = 3,
     kd: float = 2 * math.pi,
     seed: int = 3,
-) -> SuiteResult:
+):
     """Hermiticity of the polynomial and agreement with the exact engine at K = 3."""
     rng = np.random.default_rng(seed)
-    tracker = _Tracker()
     for n in range(2, n_max + 1):
         geometry = EmitterGeometry(n, kd)
         state = fully_excited(n)
@@ -176,24 +165,15 @@ def functional_invariant_suite(
             poly = build_functional(geometry, angles)
             for (a, b), coeff in poly.terms.items():
                 mirror = poly.terms.get((b, a), 0j)
-                tracker.record(
-                    abs(coeff - mirror.conjugate()), f"N={n} hermiticity {a}/{b}"
-                )
+                yield abs(coeff - mirror.conjugate()), f"N={n} hermiticity {a}/{b}"
             for m in range(1, n + 1):
                 for m1 in range(m + 1):
                     for m2 in range(m - m1 + 1):
                         mults = (m1, m2, m - m1 - m2)
-                        det = (
-                            (angles[0],) * mults[0]
-                            + (angles[1],) * mults[1]
-                            + (angles[2],) * mults[2]
-                        )
+                        det = [t for t, k in zip(angles, mults) for _ in range(k)]
                         a_val = extract_gm(poly, mults)
                         b_val = g_m_exact(geometry, det, state)
-                        tracker.record(
-                            rel_dev(a_val, b_val), f"N={n} mults={mults}"
-                        )
-    return tracker.result("generating polynomial vs exact")
+                        yield rel_dev(a_val, b_val), f"N={n} mults={mults}"
 
 
 def run_all(

@@ -138,6 +138,18 @@ def test_verify_passes(capsys):
     assert out.count("PASS") == 5
 
 
+def test_verify_reports_the_five_suites_in_order(capsys):
+    assert run(["--verify", "--n-atoms", "4", "--tuples", "2"]) == 0
+    lines = capsys.readouterr().out.splitlines()
+    assert [ln.split(":")[0] for ln in lines] == [
+        "PASS cross-method (exact vs pathsum)",
+        "PASS coincident four-way oracle",
+        "PASS conditioning factorization",
+        "PASS Dicke preparation",
+        "PASS generating polynomial vs exact",
+    ]
+
+
 def test_verify_detects_injected_fault(capsys, monkeypatch):
     # Plant the fault in the path-sum route only: it negates the first angle.
     original = dickesim.verify.g_m_pathsum
@@ -175,15 +187,72 @@ def test_verify_rejects_single_atom():
         (["--theta2-max", "inf"], "inf"),
         (["--theta1", "inf", "--method", "exact"], "inf"),
         (["--verify", "--kd", "inf"], "inf"),
+        # argparse alone takes -inf and -nan for options and exits through SystemExit.
+        (["--theta1", "-inf"], "theta1 must be finite, got -inf"),
+        (["--theta1", "-nan"], "theta1 must be finite, got nan"),
     ],
     ids=["theta1-nan", "kd-inf", "kd-nan", "theta2-min-inf", "theta2-max-nan",
-         "theta2-max-inf", "exact-theta1-inf", "verify-kd-inf"],
+         "theta2-max-inf", "exact-theta1-inf", "verify-kd-inf", "theta1-minus-inf",
+         "theta1-minus-nan"],
 )
 def test_non_finite_input_exits_2_naming_the_value(args, bad, capsys):
     assert run(args) == 2
     err = capsys.readouterr().err
-    assert err.startswith("error:")
+    assert err.startswith("error:") and err.count("\n") == 1
     assert bad in err
+
+
+@pytest.mark.parametrize("value", ["-1e-05", "-1.5e-07", "-1E+00"])
+def test_negative_theta1_in_exponent_notation_parses(value, tmp_path):
+    # argparse alone takes "-1e-05" for an option and exits through SystemExit.
+    spaced, joined = tmp_path / "spaced.csv", tmp_path / "joined.csv"
+    args = ["--theta2-steps", "3", "--out"]
+    assert run(["--theta1", value] + args + [str(spaced)]) == 0
+    assert run([f"--theta1={value}"] + args + [str(joined)]) == 0
+    assert spaced.read_bytes() == joined.read_bytes()
+    assert f'"theta1_rad": {float(value)!r}' in spaced.read_text(encoding="utf-8")
+
+
+@pytest.mark.parametrize(
+    "option, code", [("--kd", 2), ("--theta2-min", 0), ("--theta2-max", 0)]
+)
+def test_every_float_option_takes_an_exponent_value(option, code, capsys):
+    # kd must be positive: the library, not argparse, rejects -1e-3.
+    assert run([option, "-1e-3", "--theta2-steps", "3"]) == code
+    out, err = capsys.readouterr()
+    if code == 0:
+        assert out.count("\n") == 6 and "-0.001" in out
+    else:
+        assert err == "error: kd must be positive and finite, got -0.001\n"
+
+
+def test_a_value_that_is_no_float_is_left_to_argparse(capsys):
+    with pytest.raises(SystemExit) as exc:
+        run(["--theta1", "--kd", "3"])
+    assert exc.value.code == 2
+    assert "--theta1: expected one argument" in capsys.readouterr().err
+
+
+def test_overflowing_theta2_span_exits_2_with_one_line(capsys):
+    # Both ends are finite, their difference is not: np.linspace would warn
+    # (an error under pytest) and then blame the grid.
+    assert run(["--theta2-min=-1e308", "--theta2-max=1e308", "--theta2-steps", "3"]) == 2
+    err = capsys.readouterr().err
+    assert err == (
+        "error: --theta2-max minus --theta2-min overflows a float, got -1e+308 and 1e+308\n"
+    )
+
+
+def test_run_config_is_filled_from_the_parsed_options(capsys):
+    args = ["--n-atoms", "3", "--order", "2", "--kd", "3.5", "--theta1", "0.25",
+            "--theta2-min", "-1", "--theta2-max", "1", "--theta2-steps", "4",
+            "--method", "exact", "--format", "json", "--seed", "9"]
+    assert run(args) == 0
+    assert json.loads(capsys.readouterr().out)["config"] == {
+        "n_emitters": 3, "order_m": 2, "kd": 3.5, "theta1_rad": 0.25,
+        "theta2_min": -1.0, "theta2_max": 1.0, "theta2_steps": 4,
+        "method": "exact", "output_format": "json", "seed": 9,
+    }
 
 
 def test_dense_cap_checked_before_allocation(capsys):

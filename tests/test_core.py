@@ -16,7 +16,7 @@ from dickesim import (
     timed_dicke_state,
     two_atom_delta_state,
 )
-from dickesim.core import as_angles, check_order
+from dickesim.core import check_order
 
 KD = 2 * math.pi
 
@@ -65,7 +65,7 @@ def test_detector_angles_must_be_finite(bad):
     with pytest.raises(ValueError, match="finite"):
         DetectorList((0.1, bad))
     with pytest.raises(ValueError, match="finite"):
-        as_angles([bad])
+        DetectorList([bad])
     with pytest.raises(ValueError, match="finite"):
         DetectorList.coincident(bad, 3, 0.2)
 

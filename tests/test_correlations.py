@@ -507,6 +507,21 @@ def test_first_zero_edge_cases(phase_x, values, expected):
     assert got == expected or (math.isnan(got) and math.isnan(expected))
 
 
+@pytest.mark.parametrize(
+    "route",
+    [lambda g, det: g_m_exact(g, det, fully_excited(g.n_emitters)), g_m_pathsum],
+    ids=["exact", "pathsum"],
+)
+def test_every_angle_input_gives_the_same_value(route):
+    # Both routes read their angles through DetectorList, which takes any iterable once.
+    g = EmitterGeometry(5, KD)
+    angles = (0.3, -0.8, 1.1)
+    inputs = [list(angles), angles, (t for t in angles), DetectorList(angles),
+              np.array(angles)]
+    values = [route(g, det) for det in inputs]
+    assert values == [values[0]] * len(inputs)
+
+
 def test_coincident_detector_helper():
     det = DetectorList.coincident(0.1, 4, 0.9)
     assert det.angles == (0.1, 0.1, 0.1, 0.9)
