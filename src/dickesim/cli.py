@@ -64,6 +64,8 @@ def build_parser() -> argparse.ArgumentParser:
     p = argparse.ArgumentParser(
         prog="dickesim",
         description="Intensity-correlation scans for chains of two-level emitters",
+        # Options are spelled in full: FLOAT_OPTIONS joins only full names to their values.
+        allow_abbrev=False,
     )
     # Each dest is a RunConfig field; each metavar keeps the option's --help text.
     p.add_argument("--n-atoms", dest="n_emitters", metavar="N_ATOMS", type=int, default=2)

@@ -27,7 +27,7 @@ from .core import (
     check_order,
     fully_excited,
 )
-from .functional import build_functional, extract_gm
+from .functional import MAX_FUNCTIONAL_TERMS, build_functional, extract_gm, functional_updates
 
 # Most Glynn terms, C(N, m) * 2^(m-1) per path sum, that one g_m_pathsum call,
 # pathsum scan or verification run may take.
@@ -224,9 +224,9 @@ def scan_curve(
 ) -> CorrelationCurve:
     """Evaluate G(m) with (m-1) detectors at theta1 over a theta2 grid.
 
-    The closed form takes the whole grid in one call, the other methods one
-    point at a time.  Tiny negative rounding residues (>= -1e-9) are clamped to
-    zero.  Non-finite inputs, and values that overflow a float, raise ValueError.
+    The closed form takes the whole grid in one call, the functional route
+    blocks of points, the others one point at a time.  Negative residues >= -1e-9
+    are clamped to zero; non-finite inputs and float overflow raise ValueError.
     """
     if method not in METHODS:
         raise ValueError(f"unknown method {method!r}, expected one of {METHODS}")
@@ -259,9 +259,13 @@ def scan_curve(
             det = DetectorList.coincident(theta1, order_m, float(theta2))
             values[i] = g_m_pathsum(geometry, det)
     else:  # functional
-        for i, theta2 in enumerate(grid):
-            poly = build_functional(geometry, [theta1, float(theta2)])
-            values[i] = extract_gm(poly, (order_m - 1, 1))
+        box = (order_m - 1, 1)
+        angles = np.stack([np.full_like(grid, theta1), grid], axis=-1)
+        # Blocks of points, each at most MAX_FUNCTIONAL_TERMS coefficient updates.
+        size = max(1, MAX_FUNCTIONAL_TERMS // functional_updates(n, box))
+        for start in range(0, grid.size, size):
+            block = slice(start, start + size)
+            values[block] = extract_gm(build_functional(geometry, angles[block], box), box)
 
     if not np.isfinite(values).all():
         raise ValueError(f"method {method} produced a non-finite value (float overflow)")

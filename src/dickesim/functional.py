@@ -1,16 +1,22 @@
-"""Generating-polynomial route to the correlation functions.
+"""Characteristic-functional route to the correlation functions.
 
-For a fully excited register the generating object for all normally
-ordered correlations factorizes into N quadratic factors, one per
-emitter, in formal detector variables f_l and their conjugates.  The
-product is a finite polynomial, so derivatives reduce to exact
-coefficient readout: no numerics beyond complex accumulation enter.
+For a fully excited register every normally ordered correlation comes from
+prod_j (1 - |u_j|^2), u_j = sum_l c_{l,j} f_l, in formal detector variables
+f_l.  Its coefficient of f^a fstar^b, |a| = |b| = d, is (-1)^d times the
+Gram matrix sum_{|S|=d} U_S[a] conj(U_S[b]) over emitter subsets S, with
+U_S = prod_{j in S} u_j.  Factors only raise exponents, so the coefficients
+up to a box of powers need only those inside it.  The build keeps a square
+root R_d of each degree's Gram block and adds an emitter by one QR
+factorization per degree.  G is then a sum of squared moduli, read without
+a cancelling sum: Householder QR is backward stable.
 """
 from __future__ import annotations
 
+import itertools
+import operator
 from dataclasses import dataclass
 from functools import cached_property
-from math import comb, factorial
+from math import factorial, prod
 from types import MappingProxyType
 from typing import Mapping, Sequence
 
@@ -18,145 +24,129 @@ import numpy as np
 
 from .core import EmitterGeometry
 
-MAX_DISTINCT_ANGLES = 4
-# Most terms a build may hold: as many as the dense engine's largest register
-# has amplitudes.  It also keeps every key below r^(2K) < 2^63.
+# Most coefficient updates a build makes per point: N * sum_d cols_d^2, where
+# cols_d counts the box's exponent tuples of degree d.  It bounds both a build's
+# memory and its loop length; scan_curve sizes its blocks of points by it.
 MAX_FUNCTIONAL_TERMS = 2**20
 
-ExponentKey = tuple[tuple[int, ...], tuple[int, ...]]
+Exponents = tuple[int, ...]
+
+
+def functional_updates(n: int, box: Sequence[int]) -> int:
+    """N * sum_d cols_d^2, the coefficient updates of a one-point build on the box.
+
+    Degrees stop at N, where the product does, and past
+    MAX_FUNCTIONAL_TERMS // N: every degree up to |box| has a column, so a
+    count cut there is already over the bound.
+    """
+    top = min(sum(box), n, MAX_FUNCTIONAL_TERMS // n + 1)
+    cols = [1] + [0] * top
+    for b in box:
+        # Times 1 + x + ... + x^b: sums over windows of b + 1 degrees.
+        sums = list(itertools.accumulate(cols, initial=0))
+        cols = [sums[d + 1] - sums[max(0, d - b)] for d in range(top + 1)]
+    return n * sum(c * c for c in cols)
 
 
 @dataclass(frozen=True, eq=False)
 class FormalPolynomial:
-    """Polynomial in f_1..f_K and conjugates, one integer key per term.
+    """The characteristic functional on a box of powers.
 
-    prod f_l^{a_l} * prod fstar_l^{b_l} has key code(a) * radix^K + code(b),
-    where code(a) has the base-radix digits a_1..a_K, lowest first, and
-    radix = N + 1.  keys (ascending) and coefs are read-only arrays.
+    levels[d] lists the box's exponent tuples of degree d in ascending
+    order.  factors[d] is (..., rows, len(levels[d])), the leading axes those
+    of the angle stack, and factors[d]^H factors[d] is (-1)^d times the
+    coefficients of f^a fstar^b for a, b in levels[d].
     """
 
-    keys: np.ndarray
-    coefs: np.ndarray
-    n_vars: int
-    radix: int
-
-    def __post_init__(self):
-        self.keys.flags.writeable = False
-        self.coefs.flags.writeable = False
+    box: tuple[int, ...]
+    levels: tuple[tuple[Exponents, ...], ...]
+    factors: tuple[np.ndarray, ...]
 
     @cached_property
-    def terms(self) -> Mapping[ExponentKey, complex]:
-        """((a_1..a_K), (b_1..b_K)) -> coefficient, built on first access."""
-        k, r = self.n_vars, self.radix
-        # codes[c]: the exponent tuple whose code is c.
-        codes = [tuple(d) for d in (np.arange(r**k)[:, None] // r ** np.arange(k) % r).tolist()]
-        a, b = np.divmod(self.keys, r**k)
-        rows = zip(a.tolist(), b.tolist(), self.coefs.tolist())
-        return MappingProxyType({(codes[i], codes[j]): c for i, j, c in rows})
-
-    def coefficient(self, powers_f: Sequence[int], powers_fstar: Sequence[int]) -> complex:
-        k, r = self.n_vars, self.radix
-        digits = [*powers_fstar, *powers_f]
-        # An exponent that is not an integer in 0..N would alias another term's
-        # digits; it has no term.
-        if len(powers_f) != k or len(powers_fstar) != k or not all(x in range(r) for x in digits):
-            return 0j
-        key = sum(int(x) * r**i for i, x in enumerate(digits))
-        i = int(np.searchsorted(self.keys, key))
-        return complex(self.coefs[i]) if i < self.keys.size and self.keys[i] == key else 0j
+    def terms(self) -> Mapping[tuple[Exponents, Exponents], complex]:
+        """((a_1..a_K), (b_1..b_K)) -> coefficient, each Gram block B as (B + B^H)/2."""
+        out = {}
+        for d, (codes, r) in enumerate(zip(self.levels, self.factors)):
+            gram = np.swapaxes(r.conj(), -1, -2) @ r
+            gram = (-1) ** d * (gram + np.swapaxes(gram.conj(), -1, -2)) / 2
+            for (i, a), (j, b) in itertools.product(enumerate(codes), repeat=2):
+                out[(a, b)] = gram[..., i, j]
+        return MappingProxyType(out)
 
 
-def build_functional(
-    geometry: EmitterGeometry, distinct_angles: Sequence[float]
-) -> FormalPolynomial:
-    """Expand the per-emitter product form over K distinct detector angles.
+def build_functional(geometry: EmitterGeometry, angles, box: Sequence[int]) -> FormalPolynomial:
+    """Square-root build over K detector angles, (K,) or a (..., K) stack.
 
-    Each emitter j contributes a factor 1 - |sum_l c_{l,j} f_l|^2 with
-    c_{l,j} the far-field phase from emitter j toward angle l.  Every
-    factor adds one f and one fstar, so the terms are exactly the keys
-    (a, b) with |a| = |b| <= N; the product is taken over that known term
-    set by gathers, one emitter at a time.
+    box holds the largest power of each f_l to be read.  Emitter j sets R_d
+    to the R factor of [R_d ; R_{d-1} T_j], for d from high to low, where
+    T_j multiplies by sum_l conj(c_{l,j}) f_l on the box; conjugated, so that
+    the Gram blocks hold U_S[a] conj(U_S[b]).  The update count is checked
+    against MAX_FUNCTIONAL_TERMS before anything is allocated.
     """
-    angles = [float(a) for a in distinct_angles]
-    k = len(angles)
-    if not 1 <= k <= MAX_DISTINCT_ANGLES:
-        raise ValueError(f"supported detector-angle counts are 1..{MAX_DISTINCT_ANGLES}, got {k}")
-    n = geometry.n_emitters
-    # The term count, sum over d <= N of C(d+K-1, K-1)^2, is checked before
-    # anything is allocated; the sum stops as soon as it passes the bound.
-    n_terms = 0
-    for d in range(n + 1):
-        n_terms += comb(d + k - 1, k - 1) ** 2
-        if n_terms > MAX_FUNCTIONAL_TERMS:
-            raise ValueError(
-                f"the generating polynomial for N={n}, K={k} has at least {n_terms} "
-                f"terms, over the bound of {MAX_FUNCTIONAL_TERMS}"
-            )
+    box = tuple(map(operator.index, box))
+    n, k = geometry.n_emitters, len(box)
+    if k < 1 or min(box) < 0:
+        raise ValueError(f"the box needs at least one nonnegative power, got {box}")
+    if (updates := functional_updates(n, box)) > MAX_FUNCTIONAL_TERMS:
+        raise ValueError(
+            f"the characteristic functional for N={n} on the box {box} takes at least "
+            f"{updates} coefficient updates per point, over the bound of {MAX_FUNCTIONAL_TERMS}"
+        )
+    sines = np.sin(np.asarray(angles, dtype=float))
+    if sines.ndim < 1 or sines.shape[-1] != k:
+        raise ValueError(f"expected angles of shape (..., {k}), got {sines.shape}")
 
-    # Integer keys as in FormalPolynomial: code(a) * r^k + code(b).
-    r = n + 1
-    digits = np.arange(r**k) // r ** np.arange(k)[:, None] % r  # digits[l, code]
-    codes = np.flatnonzero(digits.sum(axis=0) <= n)
-    deg = digits[:, codes].sum(axis=0)
-    by_degree = codes[np.argsort(deg, kind="stable")]  # codes of each degree together
-    count = np.bincount(deg)
-    # Code a pairs with every code b of its degree, in ascending order, so the
-    # keys come out sorted.
-    width = count[deg]
-    pos = np.arange(n_terms) + np.repeat(np.cumsum(count)[deg] - np.cumsum(width), width)
-    keys = np.repeat(codes * r**k, width) + by_degree[pos]
-    # src[l, lp, i]: the key that f_l fstar_lp carries into key i, else n_terms,
-    # a slot that always holds 0.  Key i has such a source iff a_l, b_lp >= 1,
-    # and the factor adds r^(k+l) + r^lp to the source's key.
-    has_source = (digits[:, None, keys // r**k] > 0) & (digits[:, keys % r**k] > 0)
-    offset = r ** (k + np.arange(k))[:, None] + r ** np.arange(k)
-    src = np.full((k, k, n_terms), n_terms)
-    src[has_source] = np.searchsorted(keys, (keys - offset[..., None])[has_source])
+    # levels[d]: the box's exponent tuples of degree d, ascending.
+    levels = [((0,) * k,)]
+    for _ in range(min(sum(box), n)):
+        up = {a[:l] + (a[l] + 1,) + a[l + 1:]
+              for a in levels[-1] for l in range(k) if a[l] < box[l]}
+        levels.append(tuple(sorted(up)))
+    codes, unit = [np.array(c) for c in levels], np.eye(k, dtype=int)
+    # shifts[d - 1][l, i * cols_d + c] = 1 where codes[d][c] is codes[d - 1][i] + e_l.
+    shifts = [(low[:, None] + unit[:, None, None] == high).all(-1).reshape(k, -1).astype(float)
+              for low, high in zip(codes, codes[1:])]
 
-    phases = np.exp(-1j * np.outer(geometry.kd * np.arange(1, n + 1), np.sin(angles)))
-    coefs = np.zeros(n_terms + 1, dtype=complex)
-    coefs[0] = 1.0
-    for c in phases:
-        # Key (b, a) gets the exact conjugate of every addend of key (a, b), in
-        # the same order, so the polynomial stays exactly hermitian and each
-        # coefficient extract_gm reads is exactly real.
-        step = sum(-(c[l].real ** 2 + c[l].imag ** 2) * coefs[src[l, l]] for l in range(k))
-        for l in range(k):
-            for lp in range(l + 1, k):
-                w = -c[l] * c[lp].conjugate()
-                step = step + (w * coefs[src[l, lp]] + w.conjugate() * coefs[src[lp, l]])
-        coefs[:n_terms] += step
-    return FormalPolynomial(keys, coefs[:n_terms], k, r)
+    lead = sines.shape[:-1]
+    factors = [np.ones(lead + (1, 1), dtype=complex)]
+    factors += [np.zeros(lead + (0, len(c)), dtype=complex) for c in codes[1:]]
+    for j in range(1, n + 1):
+        cbar = np.exp(1j * (j * geometry.kd) * sines)
+        # Degrees above j are still empty.
+        for d in range(min(j, len(codes) - 1), 0, -1):
+            t = (cbar @ shifts[d - 1]).reshape(lead + (len(codes[d - 1]), len(codes[d])))
+            stack = np.concatenate([factors[d], factors[d - 1] @ t], axis=-2)
+            factors[d] = np.linalg.qr(stack, mode="r")
+    return FormalPolynomial(box, tuple(levels), tuple(factors))
 
 
-def extract_gm(poly: FormalPolynomial, multiplicities: Sequence[int]) -> float:
+def extract_gm(poly: FormalPolynomial, multiplicities: Sequence[int]):
     """Read off G(m) for detector l repeated multiplicities[l] times.
 
-    Merged repeated variables contribute (prod mult!)^2 from the repeated
-    derivatives; a missing coefficient means the detection pattern is
-    impossible and yields 0.
+    G = (prod mult!)^2 ||R_m[:, mults]||^2, the factorials from the merged
+    repeated derivatives; more detections than emitters give 0.  A float for
+    one set of angles, an array over a stack.
     """
     given = tuple(multiplicities)
     if not all(float(x).is_integer() for x in given):
         raise ValueError(f"multiplicities must be integers, got {given}")
     mults = tuple(int(x) for x in given)
-    if len(mults) != poly.n_vars:
-        raise ValueError(
-            f"expected {poly.n_vars} multiplicities, got {len(mults)}"
-        )
+    if len(mults) != len(poly.box):
+        raise ValueError(f"expected {len(poly.box)} multiplicities, got {len(mults)}")
     if any(x < 0 for x in mults):
         raise ValueError(f"multiplicities must be nonnegative, got {mults}")
     m = sum(mults)
     if m < 1:
         raise ValueError("total detection order must be at least 1")
+    if not all(map(operator.le, mults, poly.box)):
+        raise ValueError(f"multiplicities {mults} lie outside the box {poly.box}")
 
-    coeff = poly.coefficient(mults, mults)
-    scale = 1.0
-    for x in mults:
-        scale *= factorial(x)
-    value = (-1.0) ** m * scale**2 * coeff
-    if abs(value.imag) > 1e-12 * max(1.0, abs(value.real)):
-        raise ValueError(f"extracted value is not real: {value}")
-    if value.real < -1e-12 * max(1.0, scale**2):
-        raise ValueError(f"extracted value is negative: {value.real}")
-    return max(value.real, 0.0)
+    if m >= len(poly.levels):
+        value = np.zeros(poly.factors[0].shape[:-2])
+    else:
+        column = poly.factors[m][..., poly.levels[m].index(mults)]
+        column = float(prod(map(factorial, mults))) * column
+        # Past the float range a value is inf, left for the caller to report.
+        with np.errstate(over="ignore"):
+            value = (column.real**2 + column.imag**2).sum(axis=-1)
+    return value if value.ndim else float(value)

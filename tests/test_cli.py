@@ -233,6 +233,16 @@ def test_a_value_that_is_no_float_is_left_to_argparse(capsys):
     assert "--theta1: expected one argument" in capsys.readouterr().err
 
 
+def test_an_option_prefix_is_unknown_in_either_spelling(capsys):
+    # With prefixes allowed, the spaced form failed on its value while the joined one scanned.
+    for argv in (["--theta2-mi", "-1e-3"], ["--theta2-mi=-1e-3"]):
+        with pytest.raises(SystemExit) as exc:
+            run(argv + ["--theta2-steps", "3"])
+        assert exc.value.code == 2
+        out, err = capsys.readouterr()
+        assert out == "" and "unrecognized arguments: --theta2-mi" in err
+
+
 def test_overflowing_theta2_span_exits_2_with_one_line(capsys):
     # Both ends are finite, their difference is not: np.linspace would warn
     # (an error under pytest) and then blame the grid.
@@ -397,13 +407,14 @@ def test_json_scan_keeps_the_indented_sorted_layout(tmp_path):
 
 
 def test_csv_rows_match_numpy_scalar_formatting(tmp_path):
-    # The functional route clamps the fringe zeros of N=2, m=2 to exact zeros.
+    # At the fringe zeros of N=2, m=2 the functional route gives values near
+    # 1e-32, which print in exponent form; the zero phase prints as 0.
     out = tmp_path / "scan.csv"
     assert run(["--method", "functional", "--n-atoms", "2", "--order", "2",
                 "--out", str(out)]) == 0
     grid = np.linspace(-math.pi / 2, math.pi / 2, 181)
     curve = scan_curve(EmitterGeometry(2, 2 * math.pi), 2, 0.0, grid, "functional")
-    assert (curve.values == 0.0).sum() == 2 and (curve.phase_x == 0.0).sum() == 1
+    assert 0.0 < curve.values.min() < 1e-29 and (curve.phase_x == 0.0).sum() == 1
     rows = [f"{t:.17g},{x:.17g},{v:.17g},functional"
             for t, x, v in zip(curve.theta2_grid, curve.phase_x, curve.values)]
     assert out.read_text(encoding="utf-8").splitlines()[3:] == rows
@@ -420,13 +431,20 @@ def test_csv_scan_computes_no_summary(capsys, monkeypatch):
 
 
 def test_functional_term_bound_checked_before_allocation(capsys):
+    # Box (299, 1): 1 + 299 * 2^2 + 1 = 1198 coefficients, updated by each of 2000 emitters.
     tracemalloc.start()
     try:
-        code = run(["--method", "functional", "--n-atoms", "400"])
+        code = run(["--method", "functional", "--n-atoms", "2000", "--order", "300"])
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
     assert code == 2
     err = capsys.readouterr().err
-    assert err.startswith("error:") and "N=400, K=2" in err and err.count("\n") == 1
+    assert err.startswith("error:") and err.count("\n") == 1
+    assert "N=2000 on the box (299, 1)" in err and f"{2000 * 1198} coefficient updates" in err
     assert peak < 1 << 20
+
+
+def test_functional_scan_runs_where_the_full_polynomial_did_not():
+    # The full polynomial at N=400, K=2 held over 2^20 terms; the box (1, 1) holds 6.
+    assert run(["--method", "functional", "--n-atoms", "400", "--theta2-steps", "5"]) == 0

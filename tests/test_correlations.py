@@ -304,7 +304,7 @@ def test_closed_form_matches_the_functional_next_to_a_side_peak():
     theta1, n, m = -1.5706485006530568, 20, 10
     geometry = EmitterGeometry(n, KD)
     closed = g_m_closed_coincident(n, m, KD * math.sin(theta1))
-    functional = extract_gm(build_functional(geometry, [theta1, 0.0]), (m - 1, 1))
+    functional = extract_gm(build_functional(geometry, [theta1, 0.0], (m - 1, 1)), (m - 1, 1))
     assert rel_dev(closed, functional) <= 1e-12
 
 
