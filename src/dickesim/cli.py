@@ -17,7 +17,7 @@ import numpy as np
 
 from . import __version__
 from .core import EmitterGeometry
-from .correlations import METHODS, PathBudgetExceeded, scan_curve, summarize
+from .correlations import METHODS, scan_curve, summarize
 from .verify import run_all
 
 
@@ -178,8 +178,9 @@ def main(argv=None) -> int:
             return run_verify(args)
         config = RunConfig(**{f.name: getattr(args, f.name) for f in fields(RunConfig)})
         return run_scan(config, args.out)
+    # Every bound raises a ValueError, the path budget included.
     # OverflowError: a closed-form count too large for a float (e.g. N=200, m=100).
-    except (ValueError, OverflowError, PathBudgetExceeded, OSError) as exc:
+    except (ValueError, OverflowError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

@@ -1,4 +1,4 @@
-"""m-th order intensity correlations by three independent routes.
+"""m-th order intensity correlations by four independent routes.
 
 * g_m_exact     -- operator algebra on the dense state vector
 * g_m_pathsum   -- coherent sum over which-emitter assignments, one
@@ -7,6 +7,7 @@
                    kernel with the engine; serves as the oracle)
 * g_m_closed_coincident -- analytic form for (m-1) coincident detectors,
                    elementwise: a float for a scalar phase, an array for an array
+* functional    -- coefficients of the characteristic functional (functional.py)
 
 plus the derived observables: fringe visibility, peak width, angular
 average, and the normalized two-atom g2.
@@ -38,7 +39,7 @@ PATH_CHUNK = 2**20
 METHODS = ("exact", "pathsum", "closed", "functional")
 
 
-class PathBudgetExceeded(RuntimeError):
+class PathBudgetExceeded(ValueError):
     """The path-sum oracle would take more than PATH_BUDGET terms."""
 
 
@@ -225,8 +226,8 @@ def scan_curve(
     """Evaluate G(m) with (m-1) detectors at theta1 over a theta2 grid.
 
     The closed form takes the whole grid in one call, the functional route
-    blocks of points, the others one point at a time.  Negative residues >= -1e-9
-    are clamped to zero; non-finite inputs and float overflow raise ValueError.
+    blocks of points, the others one point at a time.  No route can return a
+    negative value; non-finite inputs and float overflow raise ValueError.
     """
     if method not in METHODS:
         raise ValueError(f"unknown method {method!r}, expected one of {METHODS}")
@@ -269,11 +270,6 @@ def scan_curve(
 
     if not np.isfinite(values).all():
         raise ValueError(f"method {method} produced a non-finite value (float overflow)")
-    if values.min() < -1e-9:
-        raise ValueError(
-            f"method {method} produced {values.min()}, beyond rounding residue"
-        )
-    values = np.maximum(values, 0.0)
     return CorrelationCurve(
         theta2_grid=grid,
         phase_x=phase_x,

@@ -80,8 +80,8 @@ def build_functional(geometry: EmitterGeometry, angles, box: Sequence[int]) -> F
     box holds the largest power of each f_l to be read.  Emitter j sets R_d
     to the R factor of [R_d ; R_{d-1} T_j], for d from high to low, where
     T_j multiplies by sum_l conj(c_{l,j}) f_l on the box; conjugated, so that
-    the Gram blocks hold U_S[a] conj(U_S[b]).  The update count is checked
-    against MAX_FUNCTIONAL_TERMS before anything is allocated.
+    the Gram blocks hold U_S[a] conj(U_S[b]).  The update count (against
+    MAX_FUNCTIONAL_TERMS) and the angles are checked before anything is allocated.
     """
     box = tuple(map(operator.index, box))
     n, k = geometry.n_emitters, len(box)
@@ -92,9 +92,14 @@ def build_functional(geometry: EmitterGeometry, angles, box: Sequence[int]) -> F
             f"the characteristic functional for N={n} on the box {box} takes at least "
             f"{updates} coefficient updates per point, over the bound of {MAX_FUNCTIONAL_TERMS}"
         )
-    sines = np.sin(np.asarray(angles, dtype=float))
-    if sines.ndim < 1 or sines.shape[-1] != k:
-        raise ValueError(f"expected angles of shape (..., {k}), got {sines.shape}")
+    angles = np.asarray(angles, dtype=float)
+    if angles.ndim < 1 or angles.shape[-1] != k:
+        raise ValueError(f"expected angles of shape (..., {k}), got {angles.shape}")
+    # Checked before np.sin, which warns on inf; a stack names only its bad values.
+    if not np.isfinite(angles).all():
+        bad = np.unique(angles[~np.isfinite(angles)])
+        raise ValueError(f"detector angles must be finite, got {bad.tolist()}")
+    sines = np.sin(angles)
 
     # levels[d]: the box's exponent tuples of degree d, ascending.
     levels = [((0,) * k,)]

@@ -160,17 +160,15 @@ def functional_invariant_suite(
         geometry = EmitterGeometry(n, kd)
         state = fully_excited(n)
         triples = rng.uniform(-math.pi / 2, math.pi / 2, size=(n_tuples, 3))
-        for row in triples:
-            angles = [float(t) for t in row]
-            poly = build_functional(geometry, angles, (n, n, n))
-            for m in range(1, n + 1):
-                for m1 in range(m + 1):
-                    for m2 in range(m - m1 + 1):
-                        mults = (m1, m2, m - m1 - m2)
-                        det = [t for t, k in zip(angles, mults) for _ in range(k)]
-                        a_val = extract_gm(poly, mults)
-                        b_val = g_m_exact(geometry, det, state)
-                        yield rel_dev(a_val, b_val), f"N={n} mults={mults}"
+        poly = build_functional(geometry, triples, (n, n, n))
+        orders = [(m1, m2, m - m1 - m2) for m in range(1, n + 1)
+                  for m1 in range(m + 1) for m2 in range(m - m1 + 1)]
+        functional = {mults: extract_gm(poly, mults) for mults in orders}
+        for i, angles in enumerate(triples.tolist()):
+            for mults, values in functional.items():
+                det = [t for t, k in zip(angles, mults) for _ in range(k)]
+                b_val = g_m_exact(geometry, det, state)
+                yield rel_dev(float(values[i]), b_val), f"N={n} mults={mults}"
 
 
 def run_all(

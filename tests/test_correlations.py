@@ -151,6 +151,7 @@ class TestPathsum:
         g = EmitterGeometry(20, KD)
         with pytest.raises(PathBudgetExceeded):
             g_m_pathsum(g, (0.1,) * 14)
+        assert issubclass(PathBudgetExceeded, ValueError)
 
     @pytest.mark.parametrize("n, m", [(9, 9), (10, 9)])
     def test_matches_exact_across_permutation_tiles(self, n, m):
@@ -442,6 +443,29 @@ class TestScanAndSummary:
         g = EmitterGeometry(20, KD)
         with pytest.raises(PathBudgetExceeded):
             scan_curve(g, 10, 0.0, np.linspace(-1, 1, 5), "pathsum")
+        assert issubclass(PathBudgetExceeded, ValueError)
+
+    def test_every_route_is_nonnegative_without_a_clamp(self):
+        # scan_curve returns the routes' raw values: none may be negative or -0.0,
+        # at the fringe zeros x = 2 pi k / N (zeros of G at m = N) or at random points.
+        rng = np.random.default_rng(11)
+        for n in range(1, 9):
+            g = EmitterGeometry(n, KD)
+            state = fully_excited(n)
+            pairs = [(theta1, math.asin(math.sin(theta1) - k / n))
+                     for theta1 in (0.0, 0.3141, -1.2) for k in range(-2 * n, 2 * n + 1)
+                     if abs(math.sin(theta1) - k / n) <= 1]
+            pairs += rng.uniform(-math.pi / 2, math.pi / 2, size=(8, 2)).tolist()
+            poly = build_functional(g, pairs, (n - 1, 1))
+            for m in range(1, n + 1):
+                functional = extract_gm(poly, (m - 1, 1))
+                for i, (theta1, theta2) in enumerate(pairs):
+                    det = DetectorList.coincident(theta1, m, theta2)
+                    x = KD * (math.sin(theta1) - math.sin(theta2))
+                    values = (g_m_exact(g, det, state), g_m_pathsum(g, det),
+                              g_m_closed_coincident(n, m, x), functional[i])
+                    for value in values:
+                        assert value >= 0 and math.copysign(1.0, value) == 1.0, (n, m, i)
 
     def test_curve_symmetric_at_theta1_zero(self):
         g = EmitterGeometry(5, KD)

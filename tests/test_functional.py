@@ -1,5 +1,7 @@
 import cmath
 import math
+import re
+import warnings
 
 import numpy as np
 import pytest
@@ -218,6 +220,23 @@ def test_build_validates_the_box_and_the_angles():
         build_functional(g, [0.1, 0.2, 0.3], (1, 1))
     with pytest.raises(TypeError):
         build_functional(g, [0.1, 0.2], (1.5, 1))
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+def test_build_rejects_non_finite_angles_before_any_warning(bad):
+    # Unchecked, a NaN angle would give a NaN value, and np.sin warns on inf.
+    g = EmitterGeometry(3, KD)
+    named = rf"detector angles must be finite, got \[{re.escape(str(bad))}\]$"
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ValueError, match=named):
+            build_functional(g, [0.1, bad], (1, 1))
+        # In a stack only the offending values are named, each once.
+        stack = [[0.1, 0.2], [bad, 0.3], [0.4, bad]]
+        with pytest.raises(ValueError, match=named):
+            build_functional(g, stack, (2, 1))
+        with pytest.raises(ValueError, match=r"got \[-inf, inf, nan\]$"):
+            build_functional(g, [[0.1, math.nan], [math.inf, -math.inf]], (2, 1))
 
 
 def test_coincident_extraction_matches_closed_form():

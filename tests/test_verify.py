@@ -64,3 +64,17 @@ def test_planted_fault_fails_the_suite(suite, module, route, faulty, monkeypatch
     result = suite()
     assert not result.passed
     assert result.worst_case != "none"
+
+
+def test_functional_suite_builds_once_per_n(monkeypatch):
+    # One stacked build per N over its triples: N = 2..8 is 7 builds, not 21.
+    build = dickesim.verify.build_functional
+    calls = []
+
+    def counting(*args, **kwargs):
+        calls.append(args[0].n_emitters)
+        return build(*args, **kwargs)
+
+    monkeypatch.setattr(dickesim.verify, "build_functional", counting)
+    assert functional_invariant_suite(n_max=8).passed
+    assert calls == list(range(2, 9))
