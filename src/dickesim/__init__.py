@@ -30,7 +30,6 @@ from .correlations import (
 )
 from .functional import FormalPolynomial, build_functional, extract_gm
 from .projection import (
-    FactorizationReport,
     ImpossibleDetection,
     ProjectionResult,
     cascade_subtract,
@@ -38,5 +37,4 @@ from .projection import (
     delta_for_detector,
     dicke_intensity_closed,
     photon_subtract,
-    verify_factorization,
 )

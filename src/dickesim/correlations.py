@@ -186,8 +186,7 @@ def peak_width_estimate(n_emitters: int, kd: float) -> float:
     """Angular width of the central maximum, 2*pi/(N*kd)."""
     if n_emitters < 2:
         raise ValueError(f"need N >= 2, got {n_emitters}")
-    if not kd > 0:
-        raise ValueError(f"kd must be positive, got {kd}")
+    EmitterGeometry(n_emitters, kd)
     return 2.0 * math.pi / (n_emitters * kd)
 
 

@@ -5,35 +5,24 @@ image under E+(theta); the discarded squared norm is the detection weight.
 Repeating the subtraction at a common angle walks the fully excited
 register down the ladder of symmetric (or timed) Dicke states, and the
 product of stage weights reproduces the coincident-detector correlation.
+The "conditioning factorization" suite in ``verify`` checks that it does.
 """
 from __future__ import annotations
 
-import itertools
-import math
 from dataclasses import dataclass
-from typing import Optional
 
 from .core import (
-    DetectorList,
     EmitterGeometry,
     StateVector,
     apply_field,
     check_order,
-    dicke_state,
     fully_excited,
     intensity,
 )
-from .correlations import g_m_exact, interference_kernel
+from .correlations import interference_kernel
 
 # Weights below this are treated as an impossible detection event.
 ZERO_WEIGHT_TOL = 1e-12
-# Floor on the normalization scale of rel_dev: at a 1e-9 tolerance this admits
-# an absolute discrepancy of 1e-12 for near-zero values (fringe minima).
-SCALE_FLOOR = 1e-3
-
-
-def rel_dev(a: float, b: float) -> float:
-    return abs(a - b) / max(abs(a), abs(b), SCALE_FLOOR)
 
 
 class ImpossibleDetection(RuntimeError):
@@ -95,47 +84,6 @@ def delta_for_detector(geometry: EmitterGeometry, theta2: float) -> float:
     state coincides pointwise with conditional_g2 at fixed theta2.
     """
     return geometry.phase_of(1, theta2)
-
-
-@dataclass(frozen=True)
-class FactorizationReport:
-    """Three routes to the same coincident-detector correlation value.
-
-    direct   -- m-fold operator correlation on the fully excited state
-    cascade  -- intensity of the (m-1)-fold projected state times its weight
-    dicke    -- Dicke-state intensity times the analytic weight (theta1 = 0 only)
-    """
-
-    direct: float
-    cascade: float
-    dicke: Optional[float]
-    max_rel_deviation: float
-
-
-def verify_factorization(
-    geometry: EmitterGeometry, order_m: int, theta1: float, theta2: float
-) -> FactorizationReport:
-    """Check that conditioning factorizes the m-fold correlation."""
-    n = geometry.n_emitters
-    check_order(n, order_m)
-    state = fully_excited(n)
-
-    detectors = DetectorList.coincident(theta1, order_m, theta2)
-    direct = g_m_exact(geometry, detectors, state)
-
-    cas = cascade_subtract(geometry, theta1, order_m - 1, state)
-    cascade = intensity(geometry, theta2, cas.projected_state) * cas.weight
-
-    dicke: Optional[float] = None
-    if abs(math.sin(theta1)) < 1e-15:
-        norm = math.comb(n, order_m - 1) * math.factorial(order_m - 1) ** 2
-        dicke = intensity(geometry, theta2, dicke_state(n, order_m - 1)) * norm
-
-    candidates = [direct, cascade] + ([dicke] if dicke is not None else [])
-    max_dev = max(rel_dev(a, b) for a, b in itertools.combinations(candidates, 2))
-    return FactorizationReport(
-        direct=direct, cascade=cascade, dicke=dicke, max_rel_deviation=max_dev
-    )
 
 
 def dicke_intensity_closed(n_emitters: int, order_m: int, phase):

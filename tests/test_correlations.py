@@ -30,7 +30,7 @@ from dickesim import (
     visibility_formula,
 )
 from dickesim.correlations import interference_kernel
-from dickesim.projection import rel_dev
+from dickesim.verify import rel_dev
 
 KD = 2 * math.pi
 
@@ -359,8 +359,9 @@ def test_visibility_formula_against_measured_fringe():
 def test_peak_width_estimate():
     assert peak_width_estimate(10, 2 * math.pi) == pytest.approx(0.1)
     assert peak_width_estimate(20, 2 * math.pi) == pytest.approx(0.05)
-    with pytest.raises(ValueError):
-        peak_width_estimate(1, 1.0)
+    for n, kd in [(1, 1.0), (2, 0.0), (2, math.inf)]:
+        with pytest.raises(ValueError):
+            peak_width_estimate(n, kd)
 
 
 def test_angular_average_against_quadrature():

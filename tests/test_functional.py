@@ -18,8 +18,7 @@ from dickesim import (
     scan_curve,
 )
 from dickesim.functional import MAX_FUNCTIONAL_TERMS
-from dickesim.projection import rel_dev
-from dickesim.verify import REL_TOL
+from dickesim.verify import REL_TOL, rel_dev
 
 KD = 2 * math.pi
 

@@ -19,9 +19,9 @@ from dickesim import (
     photon_subtract,
     timed_dicke_state,
     two_atom_delta_state,
-    verify_factorization,
 )
 from dickesim.core import DetectorList
+from dickesim.verify import rel_dev
 
 KD = 2 * math.pi
 
@@ -125,6 +125,14 @@ class TestConditionalG2:
             conditional_g2(EmitterGeometry(3, KD), 0.1, 0.2)
 
 
+def direct_and_cascade(g, m, theta1, theta2):
+    """G(m) from the m-fold correlation, and from the (m-1)-fold projected state."""
+    state = fully_excited(g.n_emitters)
+    direct = g_m_exact(g, DetectorList.coincident(theta1, m, theta2), state)
+    cas = cascade_subtract(g, theta1, m - 1, state)
+    return direct, intensity(g, theta2, cas.projected_state) * cas.weight
+
+
 class TestFactorization:
     def test_random_angles(self):
         rng = np.random.default_rng(11)
@@ -133,15 +141,17 @@ class TestFactorization:
             for m in range(1, n + 1):
                 theta1 = float(rng.uniform(-1.4, 1.4))
                 theta2 = float(rng.uniform(-1.4, 1.4))
-                report = verify_factorization(g, m, theta1, theta2)
-                assert report.max_rel_deviation <= 1e-9
-                assert report.dicke is None
+                direct, cascade = direct_and_cascade(g, m, theta1, theta2)
+                assert rel_dev(direct, cascade) <= 1e-9
 
     def test_theta1_zero_includes_dicke_route(self):
         g = EmitterGeometry(6, KD)
-        report = verify_factorization(g, 4, 0.0, 0.7)
-        assert report.dicke is not None
-        assert report.max_rel_deviation <= 1e-9
+        direct, cascade = direct_and_cascade(g, 4, 0.0, 0.7)
+        weight = math.comb(6, 3) * math.factorial(3) ** 2
+        dicke = intensity(g, 0.7, dicke_state(6, 3)) * weight
+        assert rel_dev(direct, cascade) <= 1e-9
+        assert rel_dev(direct, dicke) <= 1e-9
+        assert rel_dev(cascade, dicke) <= 1e-9
 
     def test_isomorphism_value(self):
         g = EmitterGeometry(5, KD)

@@ -16,6 +16,7 @@ from dickesim.verify import (
     dicke_preparation_suite,
     factorization_suite,
     functional_invariant_suite,
+    run_all,
 )
 
 
@@ -43,7 +44,9 @@ CASES = [
      dickesim.verify, "g_m_closed_coincident",
      scaled(dickesim.verify.g_m_closed_coincident)),
     (lambda: factorization_suite(n_max=4, n_tuples=2),
-     dickesim.projection, "g_m_exact", scaled(dickesim.projection.g_m_exact)),
+     dickesim.verify, "g_m_exact", scaled(dickesim.verify.g_m_exact)),
+    (lambda: factorization_suite(n_max=4, n_tuples=2),
+     dickesim.verify, "cascade_subtract", offset_cascade),
     (lambda: dicke_preparation_suite(n_max=4),
      dickesim.verify, "cascade_subtract", offset_cascade),
     (lambda: functional_invariant_suite(n_max=4, n_tuples=2),
@@ -55,7 +58,7 @@ CASES = [
     "suite, module, route, faulty",
     CASES,
     ids=["cross-method", "cross-method-nan", "coincident-oracle", "factorization",
-         "dicke-preparation", "functional-invariant"],
+         "factorization-cascade", "dicke-preparation", "functional-invariant"],
 )
 def test_planted_fault_fails_the_suite(suite, module, route, faulty, monkeypatch):
     clean = suite()
@@ -78,3 +81,17 @@ def test_functional_suite_builds_once_per_n(monkeypatch):
     monkeypatch.setattr(dickesim.verify, "build_functional", counting)
     assert functional_invariant_suite(n_max=8).passed
     assert calls == list(range(2, 9))
+
+
+@pytest.mark.parametrize(
+    "suite, name",
+    [
+        (lambda: run_all(n_max=4, n_tuples=0), "cross-method"),
+        (lambda: cross_method_suite(n_max=1), "cross-method"),
+        (lambda: factorization_suite(n_max=1), "conditioning factorization"),
+    ],
+    ids=["run-all-no-tuples", "cross-method-n1", "factorization-n1"],
+)
+def test_suite_that_compares_nothing_raises(suite, name):
+    with pytest.raises(ValueError, match=f"suite '{name}.*compared nothing"):
+        suite()
