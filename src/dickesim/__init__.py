@@ -16,9 +16,7 @@ from .core import (
 from .correlations import (
     CorrelationCurve,
     CurveSummary,
-    PathBudgetExceeded,
     angular_average_gm,
-    g2_thermal_reference,
     g2_two_atom_normalized,
     g_m_closed_coincident,
     g_m_exact,
@@ -30,7 +28,6 @@ from .correlations import (
 )
 from .functional import FormalPolynomial, build_functional, extract_gm
 from .projection import (
-    ImpossibleDetection,
     ProjectionResult,
     cascade_subtract,
     conditional_g2,

@@ -18,7 +18,7 @@ import numpy as np
 from . import __version__
 from .core import EmitterGeometry
 from .correlations import METHODS, scan_curve, summarize
-from .verify import run_all
+from .verify import REL_TOL, run_all
 
 
 # Largest theta2 grid a scan builds: 1e7 points is 80 MB per float array.
@@ -143,7 +143,7 @@ def run_verify(args) -> int:
         status = "PASS" if res.passed else "FAIL"
         print(
             f"{status} {res.name}: max deviation {res.max_deviation:.3e} "
-            f"(tol {res.tolerance:.1e})"
+            f"(tol {REL_TOL:.1e})"
         )
         if not res.passed:
             failed = True
@@ -178,7 +178,7 @@ def main(argv=None) -> int:
             return run_verify(args)
         config = RunConfig(**{f.name: getattr(args, f.name) for f in fields(RunConfig)})
         return run_scan(config, args.out)
-    # Every bound raises a ValueError, the path budget included.
+    # Every refusal raises a ValueError.
     # OverflowError: a closed-form count too large for a float (e.g. N=200, m=100).
     except (ValueError, OverflowError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)

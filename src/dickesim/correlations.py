@@ -28,7 +28,7 @@ from .core import (
     check_order,
     fully_excited,
 )
-from .functional import MAX_FUNCTIONAL_TERMS, build_functional, extract_gm, functional_updates
+from .functional import BLOCK_COEFFICIENTS, build_functional, extract_gm, functional_updates
 
 # Most Glynn terms, C(N, m) * 2^(m-1) per path sum, that one g_m_pathsum call,
 # pathsum scan or verification run may take.
@@ -39,19 +39,15 @@ PATH_CHUNK = 2**20
 METHODS = ("exact", "pathsum", "closed", "functional")
 
 
-class PathBudgetExceeded(ValueError):
-    """The path-sum oracle would take more than PATH_BUDGET terms."""
-
-
 def pathsum_terms(n: int, m: int) -> int:
     """Glynn terms of one path sum over N emitters and m detectors: C(N, m) * 2^(m-1)."""
     return math.comb(n, m) << (m - 1)
 
 
 def check_path_budget(n_terms: int) -> None:
-    """Raise PathBudgetExceeded if n_terms path-sum terms exceed PATH_BUDGET."""
+    """Raise ValueError if n_terms path-sum terms exceed PATH_BUDGET."""
     if n_terms > PATH_BUDGET:
-        raise PathBudgetExceeded(
+        raise ValueError(
             f"{n_terms} path-sum terms exceed the budget of {PATH_BUDGET:g}"
         )
 
@@ -128,15 +124,15 @@ def g_m_pathsum(geometry: EmitterGeometry, detectors) -> float:
 def interference_kernel(n_emitters: int, phase_x):
     """sin^2(N x/2)/sin^2(x/2) elementwise, on x reduced to [-pi, pi].
 
-    The kernel has period 2*pi, so the phase is reduced first; its only
-    singular points are then the zeros of sin(x/2), where it takes its
-    limit N^2.
+    The kernel has period 2*pi, so the phase is reduced first.  It takes its
+    limit N^2 where |sin(x/2)| is below the smallest normal float: there the
+    quotient of two subnormals has lost its low bits.
     """
     x = np.asarray(phase_x, dtype=float)
     x = x - 2.0 * math.pi * np.rint(x / (2.0 * math.pi))
     half = np.sin(x / 2.0)
     # A single emitter is its own limit everywhere: ones of the phase's shape.
-    singular = (half == 0.0) | (n_emitters == 1)
+    singular = (np.abs(half) < np.finfo(float).tiny) | (n_emitters == 1)
     ratio = np.sin(n_emitters * x / 2.0) / np.where(singular, 1.0, half)
     kernel = np.where(singular, float(n_emitters) ** 2, ratio * ratio)
     return kernel if kernel.ndim else float(kernel)
@@ -165,13 +161,6 @@ def g_m_closed_coincident(n_emitters: int, order_m: int, phase_x):
 def g2_two_atom_normalized(phase_x: float) -> float:
     """Normalized two-atom coincidence fringe, 0 at the two-photon dip."""
     return 0.5 * (1.0 + math.cos(phase_x))
-
-
-def g2_thermal_reference(gamma_mod: float) -> float:
-    """Classic thermal-source bunching value 1 + |gamma|^2 (comparison constant)."""
-    if not 0.0 <= gamma_mod <= 1.0:
-        raise ValueError(f"coherence modulus must lie in [0, 1], got {gamma_mod}")
-    return 1.0 + gamma_mod**2
 
 
 def visibility_formula(n_emitters: int, order_m: int) -> float:
@@ -261,8 +250,8 @@ def scan_curve(
     else:  # functional
         box = (order_m - 1, 1)
         angles = np.stack([np.full_like(grid, theta1), grid], axis=-1)
-        # Blocks of points, each at most MAX_FUNCTIONAL_TERMS coefficient updates.
-        size = max(1, MAX_FUNCTIONAL_TERMS // functional_updates(n, box))
+        # Blocks of points holding at most BLOCK_COEFFICIENTS coefficients, updates / N per point.
+        size = max(1, BLOCK_COEFFICIENTS * n // functional_updates(n, box))
         for start in range(0, grid.size, size):
             block = slice(start, start + size)
             values[block] = extract_gm(build_functional(geometry, angles[block], box), box)

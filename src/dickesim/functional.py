@@ -26,8 +26,10 @@ from .core import EmitterGeometry
 
 # Most coefficient updates a build makes per point: N * sum_d cols_d^2, where
 # cols_d counts the box's exponent tuples of degree d.  It bounds both a build's
-# memory and its loop length; scan_curve sizes its blocks of points by it.
+# memory and its loop length.
 MAX_FUNCTIONAL_TERMS = 2**20
+# Coefficients, sum_d cols_d^2 per point, that scan_curve holds in one block of points.
+BLOCK_COEFFICIENTS = 2**16
 
 Exponents = tuple[int, ...]
 

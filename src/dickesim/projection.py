@@ -25,10 +25,6 @@ from .correlations import interference_kernel
 ZERO_WEIGHT_TOL = 1e-12
 
 
-class ImpossibleDetection(RuntimeError):
-    """No photon can be detected at this angle (zero projection weight)."""
-
-
 @dataclass(frozen=True)
 class ProjectionResult:
     projected_state: StateVector
@@ -44,7 +40,7 @@ def photon_subtract(
     image = apply_field(geometry, theta, state)
     weight = image.norm_sq()
     if weight <= ZERO_WEIGHT_TOL:
-        raise ImpossibleDetection(
+        raise ValueError(
             f"detection at theta={theta} has weight {weight:.3e}"
         )
     return ProjectionResult(image.normalized(), weight)

@@ -8,7 +8,6 @@ The suites back both the command-line --verify mode and the acceptance tests.
 from __future__ import annotations
 
 import functools
-import inspect
 import itertools
 import math
 from dataclasses import dataclass
@@ -39,7 +38,6 @@ def rel_dev(a: float, b: float) -> float:
 @dataclass
 class SuiteResult:
     name: str
-    tolerance: float
     max_deviation: float
     worst_case: str
     passed: bool
@@ -58,9 +56,8 @@ def _suite(name: str):
                     max_dev, worst = dev, label
             if worst is None:
                 raise ValueError(f"suite {name!r} compared nothing")
-            return SuiteResult(name, REL_TOL, max_dev, worst, max_dev <= REL_TOL)
+            return SuiteResult(name, max_dev, worst, max_dev <= REL_TOL)
 
-        run.__signature__ = inspect.signature(checks).replace(return_annotation="SuiteResult")
         return run
 
     return reduce

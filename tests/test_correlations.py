@@ -12,14 +12,12 @@ from dickesim import (
     CorrelationCurve,
     DetectorList,
     EmitterGeometry,
-    PathBudgetExceeded,
     angular_average_gm,
     build_functional,
     dicke_intensity_closed,
     dicke_state,
     extract_gm,
     fully_excited,
-    g2_thermal_reference,
     g2_two_atom_normalized,
     g_m_closed_coincident,
     g_m_exact,
@@ -149,9 +147,8 @@ class TestPathsum:
     def test_budget_guard(self):
         # C(20, 14) * 2^13 = 3.2e8 terms, over the 1e8 budget.
         g = EmitterGeometry(20, KD)
-        with pytest.raises(PathBudgetExceeded):
+        with pytest.raises(ValueError, match="path-sum terms exceed"):
             g_m_pathsum(g, (0.1,) * 14)
-        assert issubclass(PathBudgetExceeded, ValueError)
 
     @pytest.mark.parametrize("n, m", [(9, 9), (10, 9)])
     def test_matches_exact_across_permutation_tiles(self, n, m):
@@ -255,7 +252,8 @@ class TestElementwiseClosedForm:
             )
 
     def test_singular_points_take_the_limit(self):
-        xs = 2 * math.pi * np.array([0, 1, -1, 2, -2])
+        # The side peaks, and phases where sin(x/2) is subnormal.
+        xs = np.append(2 * math.pi * np.array([0, 1, -1, 2, -2]), [2.5e-323, -1e-320, 3e-310])
         for n in range(2, 21):
             assert np.all(interference_kernel(n, xs) == n * n)
             for m in range(1, n + 1):
@@ -329,14 +327,6 @@ def test_g2_two_atom_normalized():
         assert g2_two_atom_normalized(float(x)) == pytest.approx(
             g_m_closed_coincident(2, 2, float(x)) / 4.0, abs=1e-12
         )
-
-
-def test_g2_thermal_reference():
-    assert g2_thermal_reference(1.0) == pytest.approx(2.0)
-    assert g2_thermal_reference(0.0) == pytest.approx(1.0)
-    assert g2_thermal_reference(0.5) == pytest.approx(1.25)
-    with pytest.raises(ValueError):
-        g2_thermal_reference(1.5)
 
 
 def test_visibility_formula():
@@ -442,9 +432,8 @@ class TestScanAndSummary:
         # One point is C(20, 10) * 2^9 = 9.5e7 terms, under the budget; five are
         # 4.7e8, so the scan raises before its first point.
         g = EmitterGeometry(20, KD)
-        with pytest.raises(PathBudgetExceeded):
+        with pytest.raises(ValueError, match="path-sum terms exceed"):
             scan_curve(g, 10, 0.0, np.linspace(-1, 1, 5), "pathsum")
-        assert issubclass(PathBudgetExceeded, ValueError)
 
     def test_every_route_is_nonnegative_without_a_clamp(self):
         # scan_curve returns the routes' raw values: none may be negative or -0.0,

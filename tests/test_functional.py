@@ -322,7 +322,7 @@ def test_scan_blocks_leave_the_curve_bit_identical(monkeypatch):
 
     monkeypatch.setattr(dickesim.correlations, "build_functional", counted)
     # 12 emitters on the box (4, 1): 1 + 4 * 2^2 + 1 = 18 coefficients, 216 updates a point.
-    monkeypatch.setattr(dickesim.correlations, "MAX_FUNCTIONAL_TERMS", 4 * 12 * 18)
+    monkeypatch.setattr(dickesim.correlations, "BLOCK_COEFFICIENTS", 4 * 18)
     blocked = scan_curve(g, 5, 0.4, grid, "functional")
     assert calls == [4, 4, 4, 4, 4, 1]
     assert np.array_equal(blocked.values, whole.values)
