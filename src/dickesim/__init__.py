@@ -17,11 +17,11 @@ from .correlations import (
     CorrelationCurve,
     CurveSummary,
     angular_average_gm,
+    dicke_intensity_closed,
     g2_two_atom_normalized,
     g_m_closed_coincident,
     g_m_exact,
     g_m_pathsum,
-    peak_width_estimate,
     scan_curve,
     summarize,
     visibility_formula,
@@ -32,6 +32,5 @@ from .projection import (
     cascade_subtract,
     conditional_g2,
     delta_for_detector,
-    dicke_intensity_closed,
     photon_subtract,
 )

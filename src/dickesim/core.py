@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import cmath
 import math
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -22,14 +23,23 @@ MAX_EXACT_EMITTERS = 20
 NORM_TOL = 1e-12
 
 
+def _check_count(name: str, value) -> None:
+    # A float such as 2.0 is refused; np.int64 is an Integral and accepted.
+    if not isinstance(value, numbers.Integral):
+        raise ValueError(f"{name} must be an integer, got {value!r}")
+
+
 def check_order(n_emitters: int, order_m: int) -> None:
-    """Reject a correlation order outside 1..N."""
+    """Reject a count that is not an integer, or a correlation order outside 1..N."""
+    _check_count("emitter count", n_emitters)
+    _check_count("order", order_m)
     if not 1 <= order_m <= n_emitters:
         raise ValueError(f"order must lie in 1..{n_emitters}, got {order_m}")
 
 
 def _dense_dim(n_emitters: int) -> int:
     # Checked before anything of size 2**N is allocated.
+    _check_count("emitter count", n_emitters)
     if not 1 <= n_emitters <= MAX_EXACT_EMITTERS:
         raise ValueError(
             f"exact engine handles 1..{MAX_EXACT_EMITTERS} emitters, got {n_emitters}"
@@ -45,6 +55,7 @@ class EmitterGeometry:
     kd: float
 
     def __post_init__(self):
+        _check_count("emitter count", self.n_emitters)
         if self.n_emitters < 1:
             raise ValueError(f"need at least one emitter, got {self.n_emitters}")
         if not (self.kd > 0 and math.isfinite(self.kd)):

@@ -9,8 +9,8 @@
                    elementwise: a float for a scalar phase, an array for an array
 * functional    -- coefficients of the characteristic functional (functional.py)
 
-plus the derived observables: fringe visibility, peak width, angular
-average, and the normalized two-atom g2.
+plus, beside the closed form, the Dicke-state intensity that m-1 detections
+prepare, the fringe visibility, the angular average, and the two-atom g2.
 """
 from __future__ import annotations
 
@@ -93,8 +93,7 @@ def g_m_pathsum(geometry: EmitterGeometry, detectors) -> float:
     angles = DetectorList(detectors).angles
     n = geometry.n_emitters
     m = len(angles)
-    if m > n:
-        raise ValueError(f"cannot detect {m} photons from {n} single-photon emitters")
+    check_order(n, m)
     check_path_budget(pathsum_terms(n, m))
     # phase_matrix[l, j] = exp(-i * phi(emitter l+1, theta_j))
     emitter_idx = np.arange(1, n + 1, dtype=float)
@@ -138,24 +137,42 @@ def interference_kernel(n_emitters: int, phase_x):
     return kernel if kernel.ndim else float(kernel)
 
 
-def _count_prefactor(n: int, m: int) -> float:
-    # N! (m-1)! / (N-m)! in exact integers, in O(m) multiplications;
-    # float() raises OverflowError past 1.8e308
-    return float(math.perm(n, m) * math.factorial(m - 1))
+def angular_average_gm(n_emitters: int, order_m: int) -> float:
+    """Mean of the coincident-detector correlation over one phase period."""
+    n, m = n_emitters, order_m
+    check_order(n, m)
+    # ((m-1)!)^2 C(N, m-1) (N-m+1) = N! (m-1)! / (N-m)! in exact integers;
+    # float() raises OverflowError past 1.8e308.
+    return float(math.factorial(m - 1) ** 2 * math.comb(n, m - 1) * (n - m + 1))
 
 
 def g_m_closed_coincident(n_emitters: int, order_m: int, phase_x):
-    """Analytic G(m) for (m-1) coincident detectors, elementwise in the phase x."""
+    """Analytic G(m) for (m-1) coincident detectors, elementwise in the phase x.
+
+    G(m) is its angular mean times a fringe whose mean over one period is 1.
+    """
     n, m = n_emitters, order_m
-    check_order(n, m)
+    # Taken first: it checks the order and raises the count's overflow before any array work.
+    mean = angular_average_gm(n, m)
     kernel = interference_kernel(n, phase_x)
     if n == 1:
         return kernel  # ones
+    fringe = (n - m) / (n - 1) + (m - 1) * kernel / (n * (n - 1))
     # Past the float range a value is inf, left for scan_curve to report.
     with np.errstate(over="ignore"):
-        return _count_prefactor(n, m) * (
-            (n - m) / (n - 1) + (m - 1) * kernel / (n * (n - 1))
-        )
+        return mean * fringe
+
+
+def dicke_intensity_closed(n_emitters: int, order_m: int, phase):
+    """Radiated intensity of the symmetric Dicke state with m-1 emitters down, elementwise."""
+    n, m = n_emitters, order_m
+    check_order(n, m)
+    kernel = interference_kernel(n, phase)
+    if n == 1:
+        return kernel  # ones
+    return (n - m + 1) * (
+        (n - m) / (n - 1) + (m - 1) * kernel / (n * (n - 1))
+    )
 
 
 def g2_two_atom_normalized(phase_x: float) -> float:
@@ -166,24 +183,10 @@ def g2_two_atom_normalized(phase_x: float) -> float:
 def visibility_formula(n_emitters: int, order_m: int) -> float:
     """Fringe visibility of the coincident-detector correlation pattern."""
     n, m = n_emitters, order_m
-    if n < 2 or not 1 <= m <= n:
-        raise ValueError(f"need N >= 2 and 1 <= m <= N, got N={n}, m={m}")
-    return (m - 1) / (m + 1 - 2 * m / n)
-
-
-def peak_width_estimate(n_emitters: int, kd: float) -> float:
-    """Angular width of the central maximum, 2*pi/(N*kd)."""
-    if n_emitters < 2:
-        raise ValueError(f"need N >= 2, got {n_emitters}")
-    EmitterGeometry(n_emitters, kd)
-    return 2.0 * math.pi / (n_emitters * kd)
-
-
-def angular_average_gm(n_emitters: int, order_m: int) -> float:
-    """Mean of the coincident-detector correlation over one phase period."""
-    n, m = n_emitters, order_m
     check_order(n, m)
-    return float(math.factorial(m - 1) ** 2 * math.comb(n, m - 1) * (n - m + 1))
+    if n < 2:
+        raise ValueError(f"need N >= 2, got {n}")
+    return (m - 1) / (m + 1 - 2 * m / n)
 
 
 @dataclass(frozen=True)

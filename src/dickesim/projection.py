@@ -5,7 +5,8 @@ image under E+(theta); the discarded squared norm is the detection weight.
 Repeating the subtraction at a common angle walks the fully excited
 register down the ladder of symmetric (or timed) Dicke states, and the
 product of stage weights reproduces the coincident-detector correlation.
-The "conditioning factorization" suite in ``verify`` checks that it does.
+The "conditioning factorization" suite in ``verify`` checks that it does;
+``correlations`` holds the closed form of that radiation beside G(m)'s.
 """
 from __future__ import annotations
 
@@ -15,11 +16,9 @@ from .core import (
     EmitterGeometry,
     StateVector,
     apply_field,
-    check_order,
     fully_excited,
     intensity,
 )
-from .correlations import interference_kernel
 
 # Weights below this are treated as an impossible detection event.
 ZERO_WEIGHT_TOL = 1e-12
@@ -80,15 +79,3 @@ def delta_for_detector(geometry: EmitterGeometry, theta2: float) -> float:
     state coincides pointwise with conditional_g2 at fixed theta2.
     """
     return geometry.phase_of(1, theta2)
-
-
-def dicke_intensity_closed(n_emitters: int, order_m: int, phase):
-    """Radiated intensity of the symmetric Dicke state with m-1 emitters down, elementwise."""
-    n, m = n_emitters, order_m
-    check_order(n, m)
-    kernel = interference_kernel(n, phase)
-    if n == 1:
-        return kernel  # ones
-    return (n - m + 1) * (
-        (n - m) / (n - 1) + (m - 1) * kernel / (n * (n - 1))
-    )

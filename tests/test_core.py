@@ -10,11 +10,14 @@ from dickesim import (
     EmitterGeometry,
     StateVector,
     apply_field,
+    dicke_intensity_closed,
     dicke_state,
     fully_excited,
+    g_m_closed_coincident,
     intensity,
     timed_dicke_state,
     two_atom_delta_state,
+    visibility_formula,
 )
 from dickesim.core import check_order
 
@@ -76,6 +79,25 @@ def test_check_order():
     for m in (0, 4):
         with pytest.raises(ValueError, match="order must lie in 1..3"):
             check_order(3, m)
+    check_order(np.int64(3), np.int64(2))
+
+
+@pytest.mark.parametrize(
+    "call, message",
+    [
+        (lambda: check_order(3.0, 2), "emitter count must be an integer, got 3.0"),
+        (lambda: dicke_intensity_closed(4, 2.5, 0.3), "order must be an integer, got 2.5"),
+        (lambda: visibility_formula(4, 2.5), "order must be an integer, got 2.5"),
+        (lambda: g_m_closed_coincident(4, 2.0, 0.3), "order must be an integer, got 2.0"),
+        (lambda: EmitterGeometry(4.5, 1.0), "emitter count must be an integer, got 4.5"),
+        (lambda: fully_excited(2.5), "emitter count must be an integer, got 2.5"),
+    ],
+    ids=["check_order", "dicke_intensity_closed", "visibility_formula",
+         "g_m_closed_coincident", "EmitterGeometry", "fully_excited"],
+)
+def test_non_integer_counts_refused(call, message):
+    with pytest.raises(ValueError, match=message):
+        call()
 
 
 @pytest.mark.parametrize(
@@ -224,6 +246,24 @@ def test_intensity_rejects_unnormalized():
     bad = StateVector(np.array([1, 1, 0, 0], dtype=complex), 2)
     with pytest.raises(ValueError):
         intensity(g, 0.0, bad)
+
+
+@pytest.mark.parametrize(
+    "call, message",
+    [
+        (lambda: DetectorList.coincident(0.1, 0, 0.2), "order must be >= 1, got 0"),
+        (lambda: StateVector(np.zeros(4), 2).normalized(), "cannot normalize the zero vector"),
+        (lambda: fully_excited(2).overlap(fully_excited(3)), "equal emitter counts"),
+        (
+            lambda: apply_field(EmitterGeometry(3, KD), 0.1, fully_excited(2)),
+            "geometry and state disagree on emitter count",
+        ),
+    ],
+    ids=["coincident_order", "normalize_zero", "overlap_counts", "apply_field_geometry"],
+)
+def test_refusals(call, message):
+    with pytest.raises(ValueError, match=message):
+        call()
 
 
 def test_state_vector_immutable_and_validated():

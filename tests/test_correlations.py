@@ -22,7 +22,6 @@ from dickesim import (
     g_m_closed_coincident,
     g_m_exact,
     g_m_pathsum,
-    peak_width_estimate,
     scan_curve,
     summarize,
     visibility_formula,
@@ -308,14 +307,12 @@ def test_closed_form_matches_the_functional_next_to_a_side_peak():
 
 
 def test_closed_form_prefactor_is_exact():
-    from dickesim.correlations import _count_prefactor
-
     for n in range(1, 30):
         for m in range(1, n + 1):
             expected = math.factorial(n) * math.factorial(m - 1) // math.factorial(n - m)
-            assert _count_prefactor(n, m) == float(expected)
+            assert angular_average_gm(n, m) == float(expected)
     # N(N-1) at m=2, exactly representable; three factorials of N took seconds.
-    assert _count_prefactor(10**6, 2) == 10**6 * (10**6 - 1)
+    assert angular_average_gm(10**6, 2) == 10**6 * (10**6 - 1)
 
 
 def test_g2_two_atom_normalized():
@@ -346,14 +343,6 @@ def test_visibility_formula_against_measured_fringe():
     assert measured == pytest.approx(visibility_formula(n, m), rel=1e-9)
 
 
-def test_peak_width_estimate():
-    assert peak_width_estimate(10, 2 * math.pi) == pytest.approx(0.1)
-    assert peak_width_estimate(20, 2 * math.pi) == pytest.approx(0.05)
-    for n, kd in [(1, 1.0), (2, 0.0), (2, math.inf)]:
-        with pytest.raises(ValueError):
-            peak_width_estimate(n, kd)
-
-
 def test_angular_average_against_quadrature():
     # oracle: trapezoid quadrature of the closed form over one phase period
     for n, m in [(2, 2), (4, 3), (6, 6), (5, 1)]:
@@ -372,11 +361,12 @@ def test_angular_average_peak_ratio_at_full_order():
 
 
 class TestScanAndSummary:
-    def test_closed_vs_exact_curves(self):
+    @pytest.mark.parametrize("method", ["exact", "pathsum"])
+    def test_closed_vs_exact_curves(self, method):
         g = EmitterGeometry(5, KD)
         grid = np.linspace(-1.4, 1.4, 61)
         closed = scan_curve(g, 3, 0.0, grid, "closed")
-        exact = scan_curve(g, 3, 0.0, grid, "exact")
+        exact = scan_curve(g, 3, 0.0, grid, method)
         scale = np.maximum(np.abs(closed.values), np.abs(exact.values))
         dev = np.abs(closed.values - exact.values) / np.maximum(scale, 1e-12)
         assert dev.max() < 1e-9

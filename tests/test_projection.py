@@ -98,6 +98,21 @@ class TestCascade:
             cascade_subtract(g, 0.0, -1, fully_excited(3))
 
 
+@pytest.mark.parametrize(
+    "call",
+    [
+        lambda g, st: g_m_exact(g, (0.1,), st),
+        lambda g, st: photon_subtract(g, 0.1, st),
+        lambda g, st: cascade_subtract(g, 0.1, 1, st),
+    ],
+    ids=["g_m_exact", "photon_subtract", "cascade_subtract"],
+)
+def test_unnormalized_state_refused(call):
+    unnormalized = StateVector(2 * fully_excited(2).amplitudes, 2)
+    with pytest.raises(ValueError, match="requires a normalized state"):
+        call(EmitterGeometry(2, KD), unnormalized)
+
+
 class TestConditionalG2:
     def test_extremes_and_midpoint(self):
         g = EmitterGeometry(2, KD)
