@@ -179,8 +179,7 @@ def main(argv=None) -> int:
         config = RunConfig(**{f.name: getattr(args, f.name) for f in fields(RunConfig)})
         return run_scan(config, args.out)
     # Every refusal raises a ValueError.
-    # OverflowError: a closed-form count too large for a float (e.g. N=200, m=100).
-    except (ValueError, OverflowError, OSError) as exc:
+    except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

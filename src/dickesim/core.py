@@ -94,6 +94,7 @@ class DetectorList:
     @classmethod
     def coincident(cls, theta1: float, order_m: int, theta2: float) -> "DetectorList":
         """(m-1) detectors stacked at theta1 plus one scanning detector at theta2."""
+        _check_count("order", order_m)
         if order_m < 1:
             raise ValueError(f"order must be >= 1, got {order_m}")
         return cls((theta1,) * (order_m - 1) + (theta2,))
@@ -162,6 +163,7 @@ def two_atom_delta_state(delta: float) -> StateVector:
 
 def dicke_state(n_emitters: int, n_ground: int) -> StateVector:
     """Equal-weight superposition of all configurations with n_ground emitters down."""
+    _check_count("ground count", n_ground)
     if not 0 <= n_ground <= n_emitters:
         raise ValueError(
             f"n_ground must lie in 0..{n_emitters}, got {n_ground}"

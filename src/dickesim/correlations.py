@@ -1,10 +1,11 @@
 """m-th order intensity correlations by four independent routes.
 
 * g_m_exact     -- operator algebra on the dense state vector
-* g_m_pathsum   -- coherent sum over which-emitter assignments, one
-                   permanent per emitter subset by Glynn's formula, one
-                   matrix product per block of m sign vectors (shares no
-                   kernel with the engine; serves as the oracle)
+* g_m_pathsum   -- coherent sum over which-emitter assignments by Glynn's
+                   formula, in whichever of two forms takes fewer terms:
+                   one permanent per emitter subset, or the subset sum as
+                   an elementary symmetric polynomial, time polynomial in N
+                   (shares no kernel with the engine; serves as the oracle)
 * g_m_closed_coincident -- analytic form for (m-1) coincident detectors,
                    elementwise: a float for a scalar phase, an array for an array
 * functional    -- coefficients of the characteristic functional (functional.py)
@@ -30,18 +31,28 @@ from .core import (
 )
 from .functional import BLOCK_COEFFICIENTS, build_functional, extract_gm, functional_updates
 
-# Most Glynn terms, C(N, m) * 2^(m-1) per path sum, that one g_m_pathsum call,
-# pathsum scan or verification run may take.
+# Most path-sum terms, pathsum_terms(N, m) per path sum, that one g_m_pathsum
+# call, pathsum scan or verification run may take.
 PATH_BUDGET = 1e8
-# Most phase factors (subsets x m x m) g_m_pathsum gathers at once.
+# Most complex entries a block of g_m_pathsum holds: subsets x m x m gathered
+# phase factors, or (2m + 2) x rows x 2^(m-1) symmetric-polynomial entries.
 PATH_CHUNK = 2**20
 
 METHODS = ("exact", "pathsum", "closed", "functional")
 
 
-def pathsum_terms(n: int, m: int) -> int:
-    """Glynn terms of one path sum over N emitters and m detectors: C(N, m) * 2^(m-1)."""
+def _subset_terms(n: int, m: int) -> int:
     return math.comb(n, m) << (m - 1)
+
+
+def pathsum_terms(n: int, m: int) -> int:
+    """Terms of the path-sum form g_m_pathsum runs for N emitters and m detectors.
+
+    The fewer of C(N, m) * 2^(m-1), Glynn's formula on every emitter subset,
+    and 4^(m-1) * N, the subset sum as an elementary symmetric polynomial;
+    on a tie, the subset walk.
+    """
+    return min(_subset_terms(n, m), n << (2 * m - 2))
 
 
 def check_path_budget(n_terms: int) -> None:
@@ -85,39 +96,89 @@ def g_m_pathsum(geometry: EmitterGeometry, detectors) -> float:
     assignments of detectors to emitters is the permanent of the m x m
     phase submatrix; the squared moduli add incoherently.  Each permanent
     is taken by Glynn's formula (D. G. Glynn, Eur. J. Combin. 31, 1887
-    (2010)) as written: a signed sum over 2^(m-1) sign vectors, whose row
-    sums are one matrix product per block of m vectors.  Complexity
-    C(N, m) * 2^(m-1) * m^2.  Subsets are streamed in tiles of at most
-    PATH_CHUNK phase factors, so memory does not grow with N.
+    (2010)): a signed sum over 2^(m-1) sign vectors.  Two forms of the
+    sum, both exact, and the one with fewer terms (pathsum_terms) runs:
+    the subset walk, C(N, m) * 2^(m-1) terms, or the subset sum taken as
+    an elementary symmetric polynomial, 4^(m-1) * N terms, which forms no
+    subset.  Each streams blocks of at most PATH_CHUNK entries, so memory
+    does not grow with N.
     """
     angles = DetectorList(detectors).angles
     n = geometry.n_emitters
     m = len(angles)
     check_order(n, m)
-    check_path_budget(pathsum_terms(n, m))
+    terms = pathsum_terms(n, m)
+    check_path_budget(terms)
     # phase_matrix[l, j] = exp(-i * phi(emitter l+1, theta_j))
     emitter_idx = np.arange(1, n + 1, dtype=float)
     sines = np.sin(np.asarray(angles, dtype=float))
     phase_matrix = np.exp(-1j * geometry.kd * np.outer(emitter_idx, sines))
+    if terms < _subset_terms(n, m):
+        return _pathsum_symmetric(phase_matrix)
+    return _pathsum_subsets(phase_matrix)
 
+
+def _glynn_signs(k: np.ndarray, m: int) -> np.ndarray:
+    """Glynn's sign vectors k as rows: delta_0 = +1, delta_r = -1 where bit r-1 of k is set."""
+    return 1 - 2 * ((2 * k[:, None] >> np.arange(m)) & 1)
+
+
+def _pathsum_subsets(phase_matrix: np.ndarray) -> float:
+    """Sum over emitter subsets S of |perm(phase_matrix[S])|^2, one permanent each.
+
+    Subsets are gathered in tiles of at most PATH_CHUNK phase factors; the
+    row sums of each tile are one matrix product per block of m sign vectors.
+    """
+    n, m = phase_matrix.shape
     total = 0.0
     n_signs = 1 << (m - 1)
     subsets = itertools.combinations(range(n), m)
     for tile in _batches(subsets, max(1, PATH_CHUNK // m**2), m):
         # a[r, j * len(tile) + s]: phase of emitter tile[s, r] toward detector j
         a = phase_matrix[tile.T[:, None, :], np.arange(m)[:, None]].reshape(m, -1)
-        # Glynn: perm(a) = 2^(1-m) * sum over delta in {+1} x {+-1}^(m-1)
-        # of prod(delta) * prod_j sum_r delta_r a[r, j]; sign vector k has
-        # delta_r = -1 where bit r-1 of k is set.  One expression per block, so
-        # that its row sums are freed before the next block's are formed.
+        # perm(a) = 2^(1-m) * sum over delta of prod(delta) * prod_j sum_r delta_r a[r, j].
+        # One expression per block, so that its row sums are freed before the
+        # next block's are formed.
         acc = np.zeros(len(tile), dtype=complex)
         for start in range(0, n_signs, m):
-            k = np.arange(start, min(start + m, n_signs))
-            delta = 1 - 2 * ((2 * k[:, None] >> np.arange(m)) & 1)
-            acc += delta.prod(axis=1) @ (delta @ a).reshape(len(k), m, -1).prod(axis=1)
+            delta = _glynn_signs(np.arange(start, min(start + m, n_signs)), m)
+            acc += delta.prod(axis=1) @ (delta @ a).reshape(len(delta), m, -1).prod(axis=1)
         amplitudes = acc / n_signs
         total += float((amplitudes.real**2 + amplitudes.imag**2).sum())
     return total
+
+
+def _pathsum_symmetric(phase_matrix: np.ndarray) -> float:
+    """The same sum with no subset formed: Glynn's formula on the transpose.
+
+    perm(A_S) = 2^(1-m) sum_delta prod(delta) prod_{l in S} v[l, delta], with
+    v = phase_matrix @ delta^T, so the sum over S of |perm(A_S)|^2 is
+    4^(1-m) sum_{delta, delta'} prod(delta) prod(delta') e_m(w), where
+    w_l = v[l, delta] conj(v[l, delta']) and e_m is the m-th elementary
+    symmetric polynomial.  e_0..e_m take one recurrence step per emitter,
+    over blocks of delta rows against every delta' column.
+    """
+    n, m = phase_matrix.shape
+    delta = _glynn_signs(np.arange(1 << (m - 1)), m)
+    sign = delta.prod(axis=1)
+    v = phase_matrix @ delta.T
+    v_conj = v.conj()
+    cols = len(delta)
+    # e, the weights w and the update w * e[lo:top] hold (2m + 2) * rows * cols entries.
+    size = max(1, PATH_CHUNK // ((2 * m + 2) * cols))
+    total = 0.0
+    for start in range(0, cols, size):
+        block = v[:, start:start + size, None]
+        e = np.zeros((m + 1, block.shape[1], cols), dtype=complex)
+        e[0] = 1.0
+        for r in range(n):
+            # After emitter r, e_k has at most r + 1 factors, and reaches e_m
+            # only if k >= m - (n - 1 - r); NumPy forms the right-hand side
+            # from the old e before adding it, so this is one step.
+            lo, top = max(0, m - n + r), min(r + 1, m)
+            e[lo + 1:top + 1] += (block[r] * v_conj[r]) * e[lo:top]
+        total += float((sign[start:start + size] @ e[m] @ sign).real)
+    return total / 4.0 ** (m - 1)
 
 
 def interference_kernel(n_emitters: int, phase_x):
@@ -141,9 +202,14 @@ def angular_average_gm(n_emitters: int, order_m: int) -> float:
     """Mean of the coincident-detector correlation over one phase period."""
     n, m = n_emitters, order_m
     check_order(n, m)
-    # ((m-1)!)^2 C(N, m-1) (N-m+1) = N! (m-1)! / (N-m)! in exact integers;
-    # float() raises OverflowError past 1.8e308.
-    return float(math.factorial(m - 1) ** 2 * math.comb(n, m - 1) * (n - m + 1))
+    # ((m-1)!)^2 C(N, m-1) (N-m+1) = N! (m-1)! / (N-m)! in exact integers.
+    count = math.factorial(m - 1) ** 2 * math.comb(n, m - 1) * (n - m + 1)
+    try:
+        return float(count)
+    except OverflowError:
+        raise ValueError(
+            f"the angular mean of G({m}) for N = {n} is too large for a float"
+        ) from None
 
 
 def g_m_closed_coincident(n_emitters: int, order_m: int, phase_x):

@@ -22,7 +22,7 @@ from typing import Mapping, Sequence
 
 import numpy as np
 
-from .core import EmitterGeometry
+from .core import EmitterGeometry, _check_count
 
 # Most coefficient updates a build makes per point: N * sum_d cols_d^2, where
 # cols_d counts the box's exponent tuples of degree d.  It bounds both a build's
@@ -85,6 +85,9 @@ def build_functional(geometry: EmitterGeometry, angles, box: Sequence[int]) -> F
     the Gram blocks hold U_S[a] conj(U_S[b]).  The update count (against
     MAX_FUNCTIONAL_TERMS) and the angles are checked before anything is allocated.
     """
+    box = tuple(box)
+    for power in box:
+        _check_count("box power", power)
     box = tuple(map(operator.index, box))
     n, k = geometry.n_emitters, len(box)
     if k < 1 or min(box) < 0:

@@ -15,6 +15,7 @@ from dataclasses import dataclass
 from .core import (
     EmitterGeometry,
     StateVector,
+    _check_count,
     apply_field,
     fully_excited,
     intensity,
@@ -49,6 +50,7 @@ def cascade_subtract(
     geometry: EmitterGeometry, theta1: float, count: int, state: StateVector
 ) -> ProjectionResult:
     """Subtract `count` photons at the same angle; weight is the product of stages."""
+    _check_count("count", count)
     if count < 0:
         raise ValueError(f"count must be >= 0, got {count}")
     if not state.is_normalized():

@@ -106,13 +106,13 @@ def test_budget_option_is_gone(capsys):
 def test_verify_checks_the_budget_before_any_suite(capsys):
     tracemalloc.start()
     try:
-        # 25 tuples x sum over N <= 14, m <= N of 2 C(N, m) 2^(m-1) terms
+        # 25 tuples x sum over N <= 14, m <= N of 2 pathsum_terms(N, m) terms
         code = run(["--verify", "--n-atoms", "14"])
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
     assert code == 2
-    assert "179360900 path-sum terms exceed the budget" in capsys.readouterr().err
+    assert "149157000 path-sum terms exceed the budget" in capsys.readouterr().err
     assert peak < 1 << 20
 
 

@@ -10,6 +10,7 @@ from dickesim import (
     EmitterGeometry,
     StateVector,
     apply_field,
+    cascade_subtract,
     dicke_intensity_closed,
     dicke_state,
     fully_excited,
@@ -91,9 +92,14 @@ def test_check_order():
         (lambda: g_m_closed_coincident(4, 2.0, 0.3), "order must be an integer, got 2.0"),
         (lambda: EmitterGeometry(4.5, 1.0), "emitter count must be an integer, got 4.5"),
         (lambda: fully_excited(2.5), "emitter count must be an integer, got 2.5"),
+        (lambda: DetectorList.coincident(0.1, 2.5, 0.2), "order must be an integer, got 2.5"),
+        (lambda: dicke_state(3, 1.5), "ground count must be an integer, got 1.5"),
+        (lambda: cascade_subtract(EmitterGeometry(3, KD), 0.1, 1.5, fully_excited(3)),
+         "count must be an integer, got 1.5"),
     ],
     ids=["check_order", "dicke_intensity_closed", "visibility_formula",
-         "g_m_closed_coincident", "EmitterGeometry", "fully_excited"],
+         "g_m_closed_coincident", "EmitterGeometry", "fully_excited",
+         "DetectorList.coincident", "dicke_state", "cascade_subtract"],
 )
 def test_non_integer_counts_refused(call, message):
     with pytest.raises(ValueError, match=message):

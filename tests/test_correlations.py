@@ -26,7 +26,12 @@ from dickesim import (
     summarize,
     visibility_formula,
 )
-from dickesim.correlations import interference_kernel
+from dickesim.correlations import (
+    _pathsum_subsets,
+    _pathsum_symmetric,
+    interference_kernel,
+    pathsum_terms,
+)
 from dickesim.verify import rel_dev
 
 KD = 2 * math.pi
@@ -49,6 +54,12 @@ def literal_pathsum(geometry, angles):
             amplitude += path
         total += abs(amplitude) ** 2
     return total
+
+
+def phase_matrix(geometry, angles):
+    """phase[l, j] = exp(-i phi(emitter l+1, theta_j)), the input of either path-sum form."""
+    emitters = np.arange(1, geometry.n_emitters + 1)
+    return np.exp(-1j * geometry.kd * np.outer(emitters, np.sin(angles)))
 
 
 def assert_matches_literal_pathsum(geometry, angles):
@@ -118,6 +129,54 @@ class TestPathsum:
         angles = tuple(np.random.default_rng(10 * n + m).uniform(-1.5, 1.5, m))
         assert_matches_literal_pathsum(EmitterGeometry(n, KD), angles)
 
+    @pytest.mark.parametrize("form", [_pathsum_subsets, _pathsum_symmetric],
+                             ids=["subsets", "symmetric"])
+    @pytest.mark.parametrize(
+        "n, m", [(n, m) for n in range(1, 7) for m in range(1, min(n, 4) + 1)]
+    )
+    def test_each_form_matches_literal_enumeration(self, form, n, m):
+        # Each form on its own, whichever g_m_pathsum would choose here.
+        g = EmitterGeometry(n, KD)
+        angles = tuple(np.random.default_rng(10 * n + m + 1).uniform(-1.5, 1.5, m))
+        reference = literal_pathsum(g, angles)
+        assert abs(form(phase_matrix(g, angles)) - reference) <= 1e-12 * max(1.0, reference)
+
+    @pytest.mark.parametrize(
+        "n, m, terms, form",
+        [(8, 4, 512, "_pathsum_symmetric"), (8, 5, 896, "_pathsum_subsets")],
+    )
+    def test_the_form_with_fewer_terms_runs(self, monkeypatch, n, m, terms, form):
+        # (8, 4): 4^3 * 8 = 512 against C(8, 4) * 2^3 = 560;
+        # (8, 5): C(8, 5) * 2^4 = 896 against 4^4 * 8 = 2048.
+        assert pathsum_terms(n, m) == terms
+        ran = []
+
+        def spy(name):
+            original = getattr(dickesim.correlations, name)
+
+            def run(phases):
+                ran.append(name)
+                return original(phases)
+
+            monkeypatch.setattr(dickesim.correlations, name, run)
+
+        spy("_pathsum_subsets")
+        spy("_pathsum_symmetric")
+        g = EmitterGeometry(n, KD)
+        angles = tuple(np.random.default_rng(n + m).uniform(-1.5, 1.5, m))
+        assert g_m_pathsum(g, angles) == pytest.approx(
+            g_m_exact(g, angles, fully_excited(n)), rel=1e-9
+        )
+        assert ran == [form]
+
+    def test_symmetric_form_reaches_past_the_subset_budget(self):
+        # C(40, 8) * 2^7 = 9.8e9 subset terms, over the budget; 4^7 * 40 = 6.6e5.
+        g = EmitterGeometry(40, KD)
+        det = DetectorList.coincident(0.1, 8, 0.4)
+        x = KD * (math.sin(0.1) - math.sin(0.4))
+        assert pathsum_terms(40, 8) == 655360
+        assert g_m_pathsum(g, det) == pytest.approx(g_m_closed_coincident(40, 8, x), rel=1e-9)
+
     @given(
         n=st.integers(1, 6),
         m=st.integers(1, 4),
@@ -158,11 +217,14 @@ class TestPathsum:
         assert g_m_pathsum(g, angles) == pytest.approx(exact, rel=1e-9)
 
     def test_tile_size_does_not_change_the_sum(self, monkeypatch):
-        g = EmitterGeometry(7, KD)
-        angles = (0.3, -0.8, 1.1, 0.2, -0.4)
-        whole = g_m_pathsum(g, angles)
+        # N = 7, m = 5 runs the subset walk; N = 9, m = 4 the symmetric form
+        # (4^3 * 9 = 576 terms against C(9, 4) * 2^3 = 1008), one delta row a block.
+        cases = [(EmitterGeometry(7, KD), (0.3, -0.8, 1.1, 0.2, -0.4)),
+                 (EmitterGeometry(9, KD), (0.3, -0.8, 1.1, 0.2))]
+        whole = [g_m_pathsum(g, angles) for g, angles in cases]
         monkeypatch.setattr(dickesim.correlations, "PATH_CHUNK", 40)
-        assert g_m_pathsum(g, angles) == pytest.approx(whole, rel=1e-12)
+        for (g, angles), value in zip(cases, whole):
+            assert g_m_pathsum(g, angles) == pytest.approx(value, rel=1e-12)
 
     def test_memory_does_not_grow_with_the_path_count(self):
         g = EmitterGeometry(9, KD)
@@ -173,6 +235,17 @@ class TestPathsum:
         finally:
             tracemalloc.stop()
         assert peak < 16 << 20
+
+    def test_symmetric_form_memory_is_bounded_by_its_blocks(self):
+        # e_0..e_10 over all 512 x 512 sign-vector pairs would be 46 MB.
+        g = EmitterGeometry(20, KD)
+        tracemalloc.start()
+        try:
+            g_m_pathsum(g, DetectorList.coincident(0.1, 10, 0.4))
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 17 << 20
 
 
 class TestClosedForm:
@@ -313,6 +386,9 @@ def test_closed_form_prefactor_is_exact():
             assert angular_average_gm(n, m) == float(expected)
     # N(N-1) at m=2, exactly representable; three factorials of N took seconds.
     assert angular_average_gm(10**6, 2) == 10**6 * (10**6 - 1)
+    # A count past the float range is refused as every other count is.
+    with pytest.raises(ValueError, match="too large for a float"):
+        angular_average_gm(200, 100)
 
 
 def test_g2_two_atom_normalized():
@@ -419,11 +495,11 @@ class TestScanAndSummary:
             scan_curve(g, 2, 0.0, [0.0, math.inf], "functional")
 
     def test_pathsum_budget_propagates(self):
-        # One point is C(20, 10) * 2^9 = 9.5e7 terms, under the budget; five are
-        # 4.7e8, so the scan raises before its first point.
+        # One point is 4^9 * 20 = 5.2e6 terms, under the budget; twenty are
+        # 1.05e8, so the scan raises before its first point.
         g = EmitterGeometry(20, KD)
-        with pytest.raises(ValueError, match="path-sum terms exceed"):
-            scan_curve(g, 10, 0.0, np.linspace(-1, 1, 5), "pathsum")
+        with pytest.raises(ValueError, match="104857600 path-sum terms exceed"):
+            scan_curve(g, 10, 0.0, np.linspace(-1, 1, 20), "pathsum")
 
     def test_every_route_is_nonnegative_without_a_clamp(self):
         # scan_curve returns the routes' raw values: none may be negative or -0.0,

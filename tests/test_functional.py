@@ -217,7 +217,7 @@ def test_build_validates_the_box_and_the_angles():
         build_functional(g, [0.1, 0.2], (1, -1))
     with pytest.raises(ValueError, match=r"shape \(\.\.\., 2\)"):
         build_functional(g, [0.1, 0.2, 0.3], (1, 1))
-    with pytest.raises(TypeError):
+    with pytest.raises(ValueError, match="box power must be an integer, got 1.5"):
         build_functional(g, [0.1, 0.2], (1.5, 1))
 
 
