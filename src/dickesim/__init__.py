@@ -10,7 +10,6 @@ from .core import (
     dicke_state,
     fully_excited,
     intensity,
-    timed_dicke_state,
     two_atom_delta_state,
 )
 from .correlations import (
@@ -32,5 +31,4 @@ from .projection import (
     cascade_subtract,
     conditional_g2,
     delta_for_detector,
-    photon_subtract,
 )

@@ -176,16 +176,6 @@ def dicke_state(n_emitters: int, n_ground: int) -> StateVector:
     return StateVector(amps, n_emitters)
 
 
-def timed_dicke_state(geometry: EmitterGeometry, theta1: float) -> StateVector:
-    """Single de-excitation with detection-direction phase tags on each emitter."""
-    n = geometry.n_emitters
-    amps = np.zeros(_dense_dim(n), dtype=np.complex128)
-    full = amps.size - 1
-    for l in range(1, n + 1):
-        amps[full ^ (1 << (l - 1))] = cmath.exp(-1j * geometry.phase_of(l, theta1))
-    return StateVector(amps / math.sqrt(n), n)
-
-
 def apply_field(geometry: EmitterGeometry, theta: float, state: StateVector) -> StateVector:
     """Image of the state under E+(theta); unnormalized, possibly zero.
 

@@ -11,7 +11,8 @@
 * functional    -- coefficients of the characteristic functional (functional.py)
 
 plus, beside the closed form, the Dicke-state intensity that m-1 detections
-prepare, the fringe visibility, the angular average, and the two-atom g2.
+prepare (both are a count times one unit-mean fringe), the fringe
+visibility, the angular average, and the two-atom g2.
 """
 from __future__ import annotations
 
@@ -212,6 +213,14 @@ def angular_average_gm(n_emitters: int, order_m: int) -> float:
         ) from None
 
 
+def _fringe(n: int, m: int, phase):
+    """Unit-mean fringe shared by G(m) and the Dicke intensity, elementwise."""
+    kernel = interference_kernel(n, phase)
+    if n == 1:
+        return kernel  # ones
+    return (n - m) / (n - 1) + (m - 1) * kernel / (n * (n - 1))
+
+
 def g_m_closed_coincident(n_emitters: int, order_m: int, phase_x):
     """Analytic G(m) for (m-1) coincident detectors, elementwise in the phase x.
 
@@ -220,25 +229,16 @@ def g_m_closed_coincident(n_emitters: int, order_m: int, phase_x):
     n, m = n_emitters, order_m
     # Taken first: it checks the order and raises the count's overflow before any array work.
     mean = angular_average_gm(n, m)
-    kernel = interference_kernel(n, phase_x)
-    if n == 1:
-        return kernel  # ones
-    fringe = (n - m) / (n - 1) + (m - 1) * kernel / (n * (n - 1))
     # Past the float range a value is inf, left for scan_curve to report.
     with np.errstate(over="ignore"):
-        return mean * fringe
+        return mean * _fringe(n, m, phase_x)
 
 
 def dicke_intensity_closed(n_emitters: int, order_m: int, phase):
     """Radiated intensity of the symmetric Dicke state with m-1 emitters down, elementwise."""
     n, m = n_emitters, order_m
     check_order(n, m)
-    kernel = interference_kernel(n, phase)
-    if n == 1:
-        return kernel  # ones
-    return (n - m + 1) * (
-        (n - m) / (n - 1) + (m - 1) * kernel / (n * (n - 1))
-    )
+    return (n - m + 1) * _fringe(n, m, phase)
 
 
 def g2_two_atom_normalized(phase_x: float) -> float:

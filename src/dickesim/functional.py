@@ -137,10 +137,9 @@ def extract_gm(poly: FormalPolynomial, multiplicities: Sequence[int]):
     repeated derivatives; more detections than emitters give 0.  A float for
     one set of angles, an array over a stack.
     """
-    given = tuple(multiplicities)
-    if not all(float(x).is_integer() for x in given):
-        raise ValueError(f"multiplicities must be integers, got {given}")
-    mults = tuple(int(x) for x in given)
+    mults = tuple(multiplicities)
+    for x in mults:
+        _check_count("multiplicity", x)
     if len(mults) != len(poly.box):
         raise ValueError(f"expected {len(poly.box)} multiplicities, got {len(mults)}")
     if any(x < 0 for x in mults):

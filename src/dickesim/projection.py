@@ -2,9 +2,10 @@
 
 Detecting a photon at angle theta projects a state onto its (normalized)
 image under E+(theta); the discarded squared norm is the detection weight.
-Repeating the subtraction at a common angle walks the fully excited
-register down the ladder of symmetric (or timed) Dicke states, and the
-product of stage weights reproduces the coincident-detector correlation.
+``cascade_subtract`` repeats that step at a common angle, walking the fully
+excited register down the ladder of symmetric (or timed) Dicke states: one
+detection leaves the timed Dicke state, and the product of stage weights
+reproduces the coincident-detector correlation.
 The "conditioning factorization" suite in ``verify`` checks that it does;
 ``correlations`` holds the closed form of that radiation beside G(m)'s.
 """
@@ -31,21 +32,6 @@ class ProjectionResult:
     weight: float
 
 
-def photon_subtract(
-    geometry: EmitterGeometry, theta: float, state: StateVector
-) -> ProjectionResult:
-    """Condition on one detection at theta: renormalized image plus its weight."""
-    if not state.is_normalized():
-        raise ValueError("photon_subtract requires a normalized state")
-    image = apply_field(geometry, theta, state)
-    weight = image.norm_sq()
-    if weight <= ZERO_WEIGHT_TOL:
-        raise ValueError(
-            f"detection at theta={theta} has weight {weight:.3e}"
-        )
-    return ProjectionResult(image.normalized(), weight)
-
-
 def cascade_subtract(
     geometry: EmitterGeometry, theta1: float, count: int, state: StateVector
 ) -> ProjectionResult:
@@ -58,9 +44,12 @@ def cascade_subtract(
     current = state
     weight = 1.0
     for _ in range(count):
-        step = photon_subtract(geometry, theta1, current)
-        current = step.projected_state
-        weight *= step.weight
+        image = apply_field(geometry, theta1, current)
+        step = image.norm_sq()
+        if step <= ZERO_WEIGHT_TOL:
+            raise ValueError(f"detection at theta={theta1} has weight {step:.3e}")
+        current = image.normalized()
+        weight *= step
     return ProjectionResult(current, weight)
 
 
@@ -70,7 +59,7 @@ def conditional_g2(
     """Two-atom conditional coincidence: intensity of the theta2-projected |e,e>."""
     if geometry.n_emitters != 2:
         raise ValueError("conditional_g2 is defined for the two-atom system")
-    projected = photon_subtract(geometry, theta2, fully_excited(2)).projected_state
+    projected = cascade_subtract(geometry, theta2, 1, fully_excited(2)).projected_state
     return intensity(geometry, theta1_probe, projected)
 
 

@@ -16,7 +16,6 @@ from dickesim import (
     fully_excited,
     g_m_closed_coincident,
     intensity,
-    timed_dicke_state,
     two_atom_delta_state,
     visibility_formula,
 )
@@ -111,9 +110,8 @@ def test_non_integer_counts_refused(call, message):
     [
         lambda n: fully_excited(n),
         lambda n: dicke_state(n, 1),
-        lambda n: timed_dicke_state(EmitterGeometry(n, KD), 0.3),
     ],
-    ids=["fully_excited", "dicke_state", "timed_dicke_state"],
+    ids=["fully_excited", "dicke_state"],
 )
 def test_dense_cap_checked_before_allocation(build, monkeypatch):
     def refuse(*args, **kwargs):
@@ -156,30 +154,6 @@ def test_dicke_state():
     assert np.allclose(nonzero, 1 / math.sqrt(6))
     with pytest.raises(ValueError):
         dicke_state(3, 4)
-
-
-def test_timed_dicke_state_at_zero_matches_symmetric():
-    g = EmitterGeometry(5, KD)
-    overlap = timed_dicke_state(g, 0.0).overlap(dicke_state(5, 1))
-    assert abs(abs(overlap) - 1.0) < 1e-12
-
-
-def test_timed_dicke_state_single_atom():
-    g = EmitterGeometry(1, KD)
-    st = timed_dicke_state(g, 0.3)
-    assert abs(abs(st.amplitudes[0]) - 1.0) < 1e-12
-
-
-def test_timed_dicke_state_phases():
-    g = EmitterGeometry(2, math.pi)
-    st = timed_dicke_state(g, math.pi / 2)
-    # emitter 1 ground -> index 0b10, phase exp(-i*pi); emitter 2 ground -> 0b01
-    assert st.amplitudes[0b10] == pytest.approx(
-        cmath.exp(-1j * math.pi) / math.sqrt(2), abs=1e-12
-    )
-    assert st.amplitudes[0b01] == pytest.approx(
-        cmath.exp(-2j * math.pi) / math.sqrt(2), abs=1e-12
-    )
 
 
 def test_apply_field_annihilates_ground():

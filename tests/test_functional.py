@@ -204,9 +204,12 @@ def test_extract_validates_multiplicities():
         extract_gm(poly, (0, 0))
     with pytest.raises(ValueError):
         extract_gm(poly, (-1, 2))
-    with pytest.raises(ValueError, match=r"integers, got \(1\.5, 0\.7\)"):
+    with pytest.raises(ValueError, match="multiplicity must be an integer, got 1.5"):
         extract_gm(poly, (1.5, 0.7))
-    assert extract_gm(poly, (1.0, np.int64(1))) == extract_gm(poly, (1, 1))
+    for refused in (1.0, 2.0, np.float64(2)):
+        with pytest.raises(ValueError, match="multiplicity must be an integer, got"):
+            extract_gm(poly, (refused, 1))
+    assert extract_gm(poly, (np.int64(1), 1)) == extract_gm(poly, (1, 1))
 
 
 def test_build_validates_the_box_and_the_angles():

@@ -1,3 +1,4 @@
+import cmath
 import math
 
 import numpy as np
@@ -15,8 +16,6 @@ from dickesim import (
     g_m_closed_coincident,
     g_m_exact,
     intensity,
-    photon_subtract,
-    timed_dicke_state,
     two_atom_delta_state,
 )
 from dickesim.core import DetectorList
@@ -29,7 +28,7 @@ class TestPhotonSubtract:
     def test_two_atom_projection(self):
         g = EmitterGeometry(2, KD)
         theta2 = 0.6
-        res = photon_subtract(g, theta2, fully_excited(2))
+        res = cascade_subtract(g, theta2, 1, fully_excited(2))
         assert res.weight == pytest.approx(2.0, rel=1e-12)
         expected = np.zeros(4, dtype=complex)
         expected[0b10] = np.exp(-1j * g.phase_of(1, theta2)) / math.sqrt(2)
@@ -41,19 +40,19 @@ class TestPhotonSubtract:
         g = EmitterGeometry(2, KD)
         # antisymmetric state, detection at zero phase difference
         with pytest.raises(ValueError, match="has weight"):
-            photon_subtract(g, 0.0, two_atom_delta_state(math.pi))
+            cascade_subtract(g, 0.0, 1, two_atom_delta_state(math.pi))
 
     def test_all_ground_impossible(self):
         g = EmitterGeometry(2, KD)
         ground = StateVector(np.array([1, 0, 0, 0], dtype=complex), 2)
         with pytest.raises(ValueError, match="has weight"):
-            photon_subtract(g, 0.3, ground)
+            cascade_subtract(g, 0.3, 1, ground)
 
     def test_weight_is_intensity(self):
         g = EmitterGeometry(4, KD)
         st = dicke_state(4, 2)
         theta = 0.9
-        assert photon_subtract(g, theta, st).weight == pytest.approx(
+        assert cascade_subtract(g, theta, 1, st).weight == pytest.approx(
             intensity(g, theta, st), rel=1e-12
         )
 
@@ -68,12 +67,22 @@ class TestCascade:
         expected = math.comb(n, m - 1) * math.factorial(m - 1) ** 2
         assert cas.weight == pytest.approx(expected, rel=1e-9)
 
-    def test_single_subtraction_gives_timed_dicke(self):
-        g = EmitterGeometry(6, KD)
-        theta1 = 0.8
-        cas = cascade_subtract(g, theta1, 1, fully_excited(6))
-        overlap = cas.projected_state.overlap(timed_dicke_state(g, theta1))
-        assert abs(abs(overlap) - 1.0) < 1e-12
+    @pytest.mark.parametrize("theta1", [0.0, 0.8, math.pi / 2])
+    @pytest.mark.parametrize("n", [1, 2, 6])
+    def test_single_subtraction_gives_timed_dicke(self, n, theta1):
+        # With kd = pi at N = 2, theta1 = pi/2 gives emitter 1 phase pi and emitter 2 phase 2 pi.
+        kd = math.pi if n == 2 else KD
+        cas = cascade_subtract(EmitterGeometry(n, kd), theta1, 1, fully_excited(n))
+        expected = np.zeros(1 << n, dtype=complex)
+        full = (1 << n) - 1
+        for l in range(1, n + 1):
+            expected[full ^ (1 << (l - 1))] = (
+                cmath.exp(-1j * l * kd * math.sin(theta1)) / math.sqrt(n)
+            )
+        np.testing.assert_allclose(
+            cas.projected_state.amplitudes, expected, rtol=0, atol=1e-12
+        )
+        assert cas.weight == pytest.approx(n, rel=1e-12)
 
     def test_zero_count_is_identity(self):
         g = EmitterGeometry(3, KD)
@@ -102,10 +111,9 @@ class TestCascade:
     "call",
     [
         lambda g, st: g_m_exact(g, (0.1,), st),
-        lambda g, st: photon_subtract(g, 0.1, st),
         lambda g, st: cascade_subtract(g, 0.1, 1, st),
     ],
-    ids=["g_m_exact", "photon_subtract", "cascade_subtract"],
+    ids=["g_m_exact", "cascade_subtract"],
 )
 def test_unnormalized_state_refused(call):
     unnormalized = StateVector(2 * fully_excited(2).amplitudes, 2)

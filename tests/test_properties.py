@@ -14,7 +14,6 @@ from dickesim import (
     g_m_exact,
     g_m_pathsum,
     intensity,
-    timed_dicke_state,
     two_atom_delta_state,
 )
 
@@ -64,12 +63,6 @@ def test_constructors_normalized(n, n_ground):
 @given(delta=phases)
 def test_delta_state_normalized(delta):
     assert two_atom_delta_state(delta).is_normalized()
-
-
-@given(n=st.integers(1, 7), kd=kds, theta=angles)
-def test_timed_dicke_normalized(n, kd, theta):
-    g = EmitterGeometry(n, kd)
-    assert timed_dicke_state(g, theta).is_normalized()
 
 
 @given(n=st.integers(1, 6), kd=kds, ta=angles, tb=angles)
