@@ -138,7 +138,6 @@ def run_verify(args) -> int:
     if args.seed < 0:
         raise ValueError(f"--verify needs --seed >= 0, got {args.seed}")
     results = run_all(n_max=args.n_emitters, n_tuples=args.tuples, kd=args.kd, seed=args.seed)
-    failed = False
     for res in results:
         status = "PASS" if res.passed else "FAIL"
         print(
@@ -146,9 +145,8 @@ def run_verify(args) -> int:
             f"(tol {REL_TOL:.1e})"
         )
         if not res.passed:
-            failed = True
             print(f"     worst case: {res.worst_case}")
-    return 1 if failed else 0
+    return 0 if all(res.passed for res in results) else 1
 
 
 def _parses_as_float(text: str) -> bool:

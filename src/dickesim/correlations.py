@@ -64,17 +64,6 @@ def check_path_budget(n_terms: int) -> None:
         )
 
 
-def _batches(tuples, size: int, width: int):
-    """Consecutive (<= size, width) index arrays drawn from an iterator of tuples."""
-    while True:
-        flat = np.fromiter(
-            itertools.chain.from_iterable(itertools.islice(tuples, size)), dtype=np.intp
-        )
-        if flat.size == 0:
-            return
-        yield flat.reshape(-1, width)
-
-
 def g_m_exact(geometry: EmitterGeometry, detectors, state: StateVector) -> float:
     """Normally ordered m-fold correlation at the given detector angles.
 
@@ -134,7 +123,8 @@ def _pathsum_subsets(phase_matrix: np.ndarray) -> float:
     total = 0.0
     n_signs = 1 << (m - 1)
     subsets = itertools.combinations(range(n), m)
-    for tile in _batches(subsets, max(1, PATH_CHUNK // m**2), m):
+    size = max(1, PATH_CHUNK // m**2)
+    while (tile := np.fromiter(itertools.islice(subsets, size), dtype=(np.intp, (m,)))).size:
         # a[r, j * len(tile) + s]: phase of emitter tile[s, r] toward detector j
         a = phase_matrix[tile.T[:, None, :], np.arange(m)[:, None]].reshape(m, -1)
         # perm(a) = 2^(1-m) * sum over delta of prod(delta) * prod_j sum_r delta_r a[r, j].

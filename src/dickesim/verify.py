@@ -63,6 +63,12 @@ def _suite(name: str):
     return reduce
 
 
+def _chains(n_max: int, kd: float):
+    """Each chain a suite sweeps: (N, its geometry, its fully excited state), 2 <= N <= n_max."""
+    for n in range(2, n_max + 1):
+        yield n, EmitterGeometry(n, kd), fully_excited(n)
+
+
 @_suite("cross-method (exact vs pathsum)")
 def cross_method_suite(
     n_max: int = 8,
@@ -72,15 +78,12 @@ def cross_method_suite(
 ):
     """Exact engine vs. brute-force path sum on random detector tuples."""
     rng = np.random.default_rng(seed)
-    for n in range(2, n_max + 1):
-        geometry = EmitterGeometry(n, kd)
-        state = fully_excited(n)
+    for n, geometry, state in _chains(n_max, kd):
         for m in range(1, n + 1):
             thetas = rng.uniform(-math.pi / 2, math.pi / 2, size=(n_tuples, m))
             for row in thetas:
-                angles = tuple(float(t) for t in row)
-                a = g_m_exact(geometry, angles, state)
-                b = g_m_pathsum(geometry, angles)
+                a = g_m_exact(geometry, row, state)
+                b = g_m_pathsum(geometry, row)
                 yield rel_dev(a, b), f"N={n} m={m} angles={np.round(row, 4).tolist()}"
 
 
@@ -93,9 +96,7 @@ def coincident_oracle_suite(
 ):
     """Exact, path-sum, closed-form, and polynomial routes at coincident detectors."""
     rng = np.random.default_rng(seed)
-    for n in range(2, n_max + 1):
-        geometry = EmitterGeometry(n, kd)
-        state = fully_excited(n)
+    for n, geometry, state in _chains(n_max, kd):
         pairs = rng.uniform(-math.pi / 2, math.pi / 2, size=(n_tuples, 2))
         poly = build_functional(geometry, pairs, (n - 1, 1))
         functional = [extract_gm(poly, (m - 1, 1)) for m in range(1, n + 1)]
@@ -127,9 +128,7 @@ def factorization_suite(
     at theta1 prepare; at theta1 = 0 that state is the symmetric Dicke state.
     """
     rng = np.random.default_rng(seed)
-    for n in range(2, n_max + 1):
-        geometry = EmitterGeometry(n, kd)
-        state = fully_excited(n)
+    for n, geometry, state in _chains(n_max, kd):
         for m in range(1, n + 1):
             # n_tuples random (theta1, theta2) pairs, then one theta2 at theta1 = 0.
             pairs = rng.uniform(-math.pi / 2, math.pi / 2, size=(n_tuples, 2)).tolist()
@@ -151,9 +150,7 @@ def factorization_suite(
 @_suite("Dicke preparation")
 def dicke_preparation_suite(n_max: int = 10, kd: float = 2 * math.pi):
     """Cascaded subtraction at theta1 = 0 must land on the symmetric Dicke state."""
-    for n in range(2, n_max + 1):
-        geometry = EmitterGeometry(n, kd)
-        state = fully_excited(n)
+    for n, geometry, state in _chains(n_max, kd):
         for m in range(1, n + 1):
             cas = cascade_subtract(geometry, 0.0, m - 1, state)
             target = dicke_state(n, m - 1)
@@ -172,9 +169,7 @@ def functional_invariant_suite(
 ):
     """The characteristic functional against the exact engine at K = 3."""
     rng = np.random.default_rng(seed)
-    for n in range(2, n_max + 1):
-        geometry = EmitterGeometry(n, kd)
-        state = fully_excited(n)
+    for n, geometry, state in _chains(n_max, kd):
         triples = rng.uniform(-math.pi / 2, math.pi / 2, size=(n_tuples, 3))
         poly = build_functional(geometry, triples, (n, n, n))
         orders = [(m1, m2, m - m1 - m2) for m in range(1, n + 1)

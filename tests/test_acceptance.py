@@ -49,7 +49,7 @@ def test_criterion_01_two_atom_fringe():
         and abs(exact.min() - 0.0) <= 1e-12
     )
     elapsed = time.perf_counter() - start
-    report(1, ok and elapsed < 1.0, f"two-atom fringe 2(1+cos x) ({elapsed:.2f}s)")
+    report(1, ok and elapsed < 1.0, "two-atom fringe 2(1+cos x)")
 
 
 def test_criterion_02_hom_zero():
@@ -93,8 +93,7 @@ def test_criterion_05_cross_oracle_equality():
         5,
         ok,
         "four-route agreement, N<=8, 100 tuples "
-        f"(dev {random_pairs.max_deviation:.1e}/{coincident.max_deviation:.1e}, "
-        f"{elapsed:.0f}s)",
+        f"(dev {random_pairs.max_deviation:.1e}/{coincident.max_deviation:.1e})",
     )
 
 

@@ -219,8 +219,12 @@ class TestPathsum:
     def test_tile_size_does_not_change_the_sum(self, monkeypatch):
         # N = 7, m = 5 runs the subset walk; N = 9, m = 4 the symmetric form
         # (4^3 * 9 = 576 terms against C(9, 4) * 2^3 = 1008), one delta row a block.
+        # N = 50, m = 1 walks rows of width 1 in tiles of 40 and 10 (a tie, so the
+        # subset walk); N = 6, m = 3 fills 5 tiles of 4 exactly, so its last draw is empty.
         cases = [(EmitterGeometry(7, KD), (0.3, -0.8, 1.1, 0.2, -0.4)),
-                 (EmitterGeometry(9, KD), (0.3, -0.8, 1.1, 0.2))]
+                 (EmitterGeometry(9, KD), (0.3, -0.8, 1.1, 0.2)),
+                 (EmitterGeometry(50, KD), (0.3,)),
+                 (EmitterGeometry(6, KD), (0.3, -0.8, 1.1))]
         whole = [g_m_pathsum(g, angles) for g, angles in cases]
         monkeypatch.setattr(dickesim.correlations, "PATH_CHUNK", 40)
         for (g, angles), value in zip(cases, whole):
