@@ -11,7 +11,7 @@ import argparse
 import json
 import math
 import sys
-from dataclasses import asdict, dataclass, fields
+from dataclasses import asdict
 
 import numpy as np
 
@@ -28,38 +28,6 @@ MAX_THETA2_STEPS = 10**7
 FLOAT_OPTIONS = ("--kd", "--theta1", "--theta2-min", "--theta2-max")
 
 
-@dataclass(frozen=True)
-class RunConfig:
-    n_emitters: int
-    order_m: int
-    kd: float
-    theta1_rad: float
-    theta2_min: float
-    theta2_max: float
-    theta2_steps: int
-    method: str
-    output_format: str
-    seed: int
-
-    def validate(self):
-        # N, order and kd are checked by the library, method and format by argparse.
-        if not 2 <= self.theta2_steps <= MAX_THETA2_STEPS:
-            raise ValueError(
-                f"--theta2-steps must lie in 2..{MAX_THETA2_STEPS}, got {self.theta2_steps}"
-            )
-        if not -math.inf < self.theta2_min < self.theta2_max < math.inf:
-            raise ValueError(
-                "need finite --theta2-min < --theta2-max, "
-                f"got {self.theta2_min} and {self.theta2_max}"
-            )
-        # Checked before np.linspace, which would overflow with a RuntimeWarning.
-        if math.isinf(self.theta2_max - self.theta2_min):
-            raise ValueError(
-                "--theta2-max minus --theta2-min overflows a float, "
-                f"got {self.theta2_min} and {self.theta2_max}"
-            )
-
-
 def build_parser() -> argparse.ArgumentParser:
     p = argparse.ArgumentParser(
         prog="dickesim",
@@ -67,7 +35,8 @@ def build_parser() -> argparse.ArgumentParser:
         # Options are spelled in full: FLOAT_OPTIONS joins only full names to their values.
         allow_abbrev=False,
     )
-    # Each dest is a RunConfig field; each metavar keeps the option's --help text.
+    # Each dest is the key the output's config block uses; each metavar keeps
+    # the option's --help text.
     p.add_argument("--n-atoms", dest="n_emitters", metavar="N_ATOMS", type=int, default=2)
     p.add_argument("--order", dest="order_m", metavar="ORDER", type=int, default=2)
     p.add_argument("--kd", type=float, default=2 * math.pi)
@@ -87,21 +56,21 @@ def build_parser() -> argparse.ArgumentParser:
     return p
 
 
-def _write_csv(fh, config: RunConfig, curve) -> None:
+def _write_csv(fh, config: dict, curve) -> None:
     fh.write(f"# dickesim {__version__}\n")
-    fh.write("# config " + json.dumps(asdict(config), sort_keys=True) + "\n")
+    fh.write("# config " + json.dumps(config, sort_keys=True) + "\n")
     fh.write("theta2_rad,phase_x,value,method\n")
     # Memoryviews yield Python floats, which format faster than NumPy scalars.
     for t, x, v in zip(*map(memoryview, (curve.theta2_grid, curve.phase_x, curve.values))):
         fh.write(f"{t:.17g},{x:.17g},{v:.17g},{curve.method}\n")
 
 
-def _write_json(fh, config: RunConfig, curve) -> None:
+def _write_json(fh, config: dict, curve) -> None:
     summary = summarize(curve)
     payload = {
         "tool": "dickesim",
         "version": __version__,
-        "config": asdict(config),
+        "config": config,
         "curve": {
             "theta2_rad": curve.theta2_grid.tolist(),
             "phase_x": curve.phase_x.tolist(),
@@ -115,17 +84,35 @@ def _write_json(fh, config: RunConfig, curve) -> None:
     fh.write("\n")
 
 
-def run_scan(config: RunConfig, out_path: str | None) -> int:
-    config.validate()
-    geometry = EmitterGeometry(config.n_emitters, config.kd)
-    grid = np.linspace(config.theta2_min, config.theta2_max, config.theta2_steps)
-    curve = scan_curve(geometry, config.order_m, config.theta1_rad, grid, config.method)
+def run_scan(args) -> int:
+    # N, order and kd are checked by the library, method and format by argparse.
+    if not 2 <= args.theta2_steps <= MAX_THETA2_STEPS:
+        raise ValueError(
+            f"--theta2-steps must lie in 2..{MAX_THETA2_STEPS}, got {args.theta2_steps}"
+        )
+    if not -math.inf < args.theta2_min < args.theta2_max < math.inf:
+        raise ValueError(
+            "need finite --theta2-min < --theta2-max, "
+            f"got {args.theta2_min} and {args.theta2_max}"
+        )
+    # Checked before np.linspace, which would overflow with a RuntimeWarning.
+    if math.isinf(args.theta2_max - args.theta2_min):
+        raise ValueError(
+            "--theta2-max minus --theta2-min overflows a float, "
+            f"got {args.theta2_min} and {args.theta2_max}"
+        )
+    # The output records every option a scan reads: all but the destination
+    # and the two that only --verify reads.
+    config = {k: v for k, v in vars(args).items() if k not in ("out", "verify", "tuples")}
+    geometry = EmitterGeometry(args.n_emitters, args.kd)
+    grid = np.linspace(args.theta2_min, args.theta2_max, args.theta2_steps)
+    curve = scan_curve(geometry, args.order_m, args.theta1_rad, grid, args.method)
     # Both formats stream into the open destination; only JSON carries a summary.
-    write = _write_csv if config.output_format == "csv" else _write_json
-    if out_path is None:
+    write = _write_csv if args.output_format == "csv" else _write_json
+    if args.out is None:
         write(sys.stdout, config, curve)
     else:
-        with open(out_path, "w", encoding="utf-8", newline="\n") as fh:
+        with open(args.out, "w", encoding="utf-8", newline="\n") as fh:
             write(fh, config, curve)
     return 0
 
@@ -174,8 +161,7 @@ def main(argv=None) -> int:
     try:
         if args.verify:
             return run_verify(args)
-        config = RunConfig(**{f.name: getattr(args, f.name) for f in fields(RunConfig)})
-        return run_scan(config, args.out)
+        return run_scan(args)
     # Every refusal raises a ValueError.
     except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)

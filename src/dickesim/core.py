@@ -74,6 +74,8 @@ class EmitterGeometry:
             raise ValueError(
                 f"emitter index {emitter} outside 1..{self.n_emitters}"
             )
+        if not math.isfinite(theta):
+            raise ValueError(f"detector angle must be finite, got {theta}")
         return emitter * self.kd * math.sin(theta)
 
 

@@ -11,6 +11,8 @@ from dickesim import (
     StateVector,
     apply_field,
     cascade_subtract,
+    conditional_g2,
+    delta_for_detector,
     dicke_intensity_closed,
     dicke_state,
     fully_excited,
@@ -71,6 +73,18 @@ def test_detector_angles_must_be_finite(bad):
         DetectorList([bad])
     with pytest.raises(ValueError, match="finite"):
         DetectorList.coincident(bad, 3, 0.2)
+    # The dense engine refuses the angle itself, in its one angle-to-phase step.
+    g = EmitterGeometry(2, KD)
+    for call in (
+        lambda: apply_field(g, bad, fully_excited(2)),
+        lambda: intensity(g, bad, fully_excited(2)),
+        lambda: cascade_subtract(g, bad, 2, fully_excited(2)),
+        lambda: delta_for_detector(g, bad),
+        lambda: conditional_g2(g, bad, 0.1),
+        lambda: conditional_g2(g, 0.1, bad),
+    ):
+        with pytest.raises(ValueError, match="detector angle must be finite"):
+            call()
 
 
 def test_check_order():

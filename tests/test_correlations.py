@@ -412,6 +412,8 @@ def test_visibility_formula():
     assert visibility_formula(4, 2) == pytest.approx(0.5)
     with pytest.raises(ValueError):
         visibility_formula(3, 4)
+    with pytest.raises(ValueError, match="need N >= 2, got 1"):
+        visibility_formula(1, 1)
 
 
 def test_visibility_formula_against_measured_fringe():
