@@ -4,7 +4,9 @@
 * g_m_pathsum   -- coherent sum over which-emitter assignments by Glynn's
                    formula, in whichever of two forms takes fewer terms:
                    one permanent per emitter subset, or the subset sum as
-                   an elementary symmetric polynomial, time polynomial in N
+                   an elementary symmetric polynomial, time polynomial in N,
+                   over classes of sign vectors on the distinct angles; one
+                   set of angles or a (P, m) stack of them
                    (shares no kernel with the engine; serves as the oracle)
 * g_m_closed_coincident -- analytic form for (m-1) coincident detectors,
                    elementwise: a float for a scalar phase, an array for an array
@@ -16,6 +18,7 @@ visibility, the angular average, and the two-atom g2.
 """
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 from dataclasses import dataclass
@@ -36,7 +39,8 @@ from .functional import BLOCK_COEFFICIENTS, build_functional, extract_gm, functi
 # call, pathsum scan or verification run may take.
 PATH_BUDGET = 1e8
 # Most complex entries a block of g_m_pathsum holds: subsets x m x m gathered
-# phase factors, or (2m + 2) x rows x 2^(m-1) symmetric-polynomial entries.
+# phase factors, or, over a block of points, their phases, v and
+# (2m + 2) x rows x classes symmetric-polynomial entries.
 PATH_CHUNK = 2**20
 
 METHODS = ("exact", "pathsum", "closed", "functional")
@@ -79,7 +83,7 @@ def g_m_exact(geometry: EmitterGeometry, detectors, state: StateVector) -> float
     return current.norm_sq()
 
 
-def g_m_pathsum(geometry: EmitterGeometry, detectors) -> float:
+def g_m_pathsum(geometry: EmitterGeometry, detectors):
     """Path-sum correlation of the fully excited state.
 
     For every m-element emitter subset, the coherent amplitude over all m!
@@ -90,27 +94,96 @@ def g_m_pathsum(geometry: EmitterGeometry, detectors) -> float:
     sum, both exact, and the one with fewer terms (pathsum_terms) runs:
     the subset walk, C(N, m) * 2^(m-1) terms, or the subset sum taken as
     an elementary symmetric polynomial, 4^(m-1) * N terms, which forms no
-    subset.  Each streams blocks of at most PATH_CHUNK entries, so memory
-    does not grow with N.
+    subset and sums over classes of sign vectors on the distinct detector
+    angles (_sign_classes).  Each streams blocks of at most PATH_CHUNK
+    entries, so memory does not grow with N or with the number of points.
+
+    detectors is one set of m angles, read through DetectorList, and gives a
+    float; or a (P, m) array, a stack of P sets, which gives a (P,) array.
+    The budget counts P * pathsum_terms(N, m) before anything is allocated;
+    at repeated angles that is an upper bound on the work.
     """
-    angles = DetectorList(detectors).angles
     n = geometry.n_emitters
-    m = len(angles)
+    single = not isinstance(detectors, np.ndarray) or detectors.ndim == 1
+    if single:
+        angles = DetectorList(detectors).angles
+        stack = np.array([angles])
+    else:
+        stack = np.asarray(detectors, dtype=float)
+        if stack.ndim != 2:
+            raise ValueError(f"expected detector angles of shape (P, m), got {stack.shape}")
+    points, m = stack.shape
     check_order(n, m)
     terms = pathsum_terms(n, m)
-    check_path_budget(terms)
-    # phase_matrix[l, j] = exp(-i * phi(emitter l+1, theta_j))
-    emitter_idx = np.arange(1, n + 1, dtype=float)
-    sines = np.sin(np.asarray(angles, dtype=float))
-    phase_matrix = np.exp(-1j * geometry.kd * np.outer(emitter_idx, sines))
-    if terms < _subset_terms(n, m):
-        return _pathsum_symmetric(phase_matrix)
-    return _pathsum_subsets(phase_matrix)
+    check_path_budget(points * terms)
+    # Checked before np.sin, which warns on inf; a stack names only its bad values.
+    if not single and not np.isfinite(stack).all():
+        bad = np.unique(stack[~np.isfinite(stack)])
+        raise ValueError(f"detector angles must be finite, got {bad.tolist()}")
+    if terms >= _subset_terms(n, m):
+        values = [_pathsum_subsets(_phases(geometry, row)) for row in np.sin(stack)]
+        return values[0] if single else np.array(values)
+
+    # A single set is grouped by its angles, a stack by the bytes of its columns.
+    groups = _equal_columns(angles if single else [stack[:, j].tobytes() for j in range(m)])
+    columns = [group[0] for group in groups]
+    multiplicities = tuple(map(len, groups))
+    # A point holds its phases, v and conj(v), and e, w and the update of its
+    # class pairs (see _pathsum_symmetric); blocks of points hold at most PATH_CHUNK.
+    classes = len(_sign_classes(multiplicities)[1])
+    per_point = n * (len(groups) + 2 * classes) + (2 * m + 2) * classes**2
+    size = max(1, PATH_CHUNK // per_point)
+    values = np.empty(points)
+    for start in range(0, points, size):
+        sines = np.sin(stack[start:start + size, columns])
+        values[start:start + size] = _pathsum_symmetric(_phases(geometry, sines), multiplicities)
+    return float(values[0]) if single else values
+
+
+def _equal_columns(keys) -> list[list[int]]:
+    """Indices of the columns with equal keys, one list per group, in first-seen order."""
+    groups: dict = {}
+    for j, key in enumerate(keys):
+        groups.setdefault(key, []).append(j)
+    return list(groups.values())
+
+
+def _phases(geometry: EmitterGeometry, sines: np.ndarray) -> np.ndarray:
+    """phases[..., l, j] = exp(-i * phi(emitter l+1, theta_j)), from sines (..., K)."""
+    emitter_idx = np.arange(1, geometry.n_emitters + 1, dtype=float)
+    return np.exp(-1j * geometry.kd * (emitter_idx[:, None] * sines[..., None, :]))
 
 
 def _glynn_signs(k: np.ndarray, m: int) -> np.ndarray:
     """Glynn's sign vectors k as rows: delta_0 = +1, delta_r = -1 where bit r-1 of k is set."""
     return 1 - 2 * ((2 * k[:, None] >> np.arange(m)) & 1)
+
+
+# A few multiplicity patterns recur across calls (m distinct angles, or m - 1
+# coincident and one more); the arrays are read-only, as every caller shares them.
+@functools.lru_cache(maxsize=32)
+def _sign_classes(multiplicities: tuple[int, ...]) -> tuple[np.ndarray, np.ndarray]:
+    """Glynn's sign vectors on groups of equal columns, by their minus signs in each group.
+
+    Group g holds multiplicities[g] = mu_g equal columns, and group 0 holds
+    the first column, whose sign is fixed at +1.  The class with k_g minus
+    signs in group g has the coefficient mu_g - 2 k_g on the group's column,
+    and its sign vectors add up to the weight prod_g C(mu'_g, k_g) (-1)^k_g,
+    mu'_0 = mu_0 - 1, mu'_g = mu_g otherwise.  Returns the coefficients
+    (classes, groups) and the weights (classes,).  k_0 varies fastest, then
+    k_1, and so on: with every multiplicity 1 the classes are _glynn_signs'
+    vectors in its order, with weight prod(delta).
+    """
+    mu = np.array(multiplicities)
+    top = mu - (np.arange(len(mu)) == 0)
+    radix = top + 1
+    k = np.arange(radix.prod())[:, None] // (np.cumprod(radix) // radix) % radix
+    binomials = np.array([[math.comb(t, j) for j in range(top.max() + 1)] for t in top.tolist()],
+                         dtype=float)
+    weight = binomials[np.arange(len(mu)), k].prod(axis=1) * (1 - 2 * (k.sum(axis=1) & 1))
+    coef = mu - 2 * k
+    coef.flags.writeable = weight.flags.writeable = False
+    return coef, weight
 
 
 def _pathsum_subsets(phase_matrix: np.ndarray) -> float:
@@ -139,28 +212,31 @@ def _pathsum_subsets(phase_matrix: np.ndarray) -> float:
     return total
 
 
-def _pathsum_symmetric(phase_matrix: np.ndarray) -> float:
-    """The same sum with no subset formed: Glynn's formula on the transpose.
+def _pathsum_symmetric(phases: np.ndarray, multiplicities) -> np.ndarray:
+    """The same sum with no subset formed: Glynn's formula on the transpose, at P points.
 
+    phases is (P, N, G): at each of P points, the phase factors of G distinct
+    detector angles, angle g repeated multiplicities[g] times, m in all.
     perm(A_S) = 2^(1-m) sum_delta prod(delta) prod_{l in S} v[l, delta], with
-    v = phase_matrix @ delta^T, so the sum over S of |perm(A_S)|^2 is
-    4^(1-m) sum_{delta, delta'} prod(delta) prod(delta') e_m(w), where
-    w_l = v[l, delta] conj(v[l, delta']) and e_m is the m-th elementary
-    symmetric polynomial.  e_0..e_m take one recurrence step per emitter,
-    over blocks of delta rows against every delta' column.
+    v = A @ delta^T.  Sign vectors of one class (_sign_classes) share v, so
+    the sum over S of |perm(A_S)|^2 is 4^(1-m) sum_{c, c'} weight_c weight_c'
+    e_m(w), where w_l = v[l, c] conj(v[l, c']) and e_m is the m-th
+    elementary symmetric polynomial.  e_0..e_m take one recurrence step per
+    emitter, over blocks of class rows against every class column.
     """
-    n, m = phase_matrix.shape
-    delta = _glynn_signs(np.arange(1 << (m - 1)), m)
-    sign = delta.prod(axis=1)
-    v = phase_matrix @ delta.T
-    v_conj = v.conj()
-    cols = len(delta)
-    # e, the weights w and the update w * e[lo:top] hold (2m + 2) * rows * cols entries.
-    size = max(1, PATH_CHUNK // ((2 * m + 2) * cols))
-    total = 0.0
+    points, n, _ = phases.shape
+    m = sum(multiplicities)
+    coef, weight = _sign_classes(multiplicities)
+    # v[l, p, c], emitter first, so that a step of the recurrence takes v[r] of each point.
+    v = (phases @ coef.T).transpose(1, 0, 2)
+    v_conj = v.conj()[:, :, None, :]
+    cols = len(weight)
+    # e, the weights w and the update w * e[lo:top] hold (2m + 2) * points * rows * cols entries.
+    size = max(1, PATH_CHUNK // ((2 * m + 2) * points * cols))
+    total = np.zeros(points)
     for start in range(0, cols, size):
-        block = v[:, start:start + size, None]
-        e = np.zeros((m + 1, block.shape[1], cols), dtype=complex)
+        block = v[:, :, start:start + size, None]
+        e = np.zeros((m + 1, points, block.shape[2], cols), dtype=complex)
         e[0] = 1.0
         for r in range(n):
             # After emitter r, e_k has at most r + 1 factors, and reaches e_m
@@ -168,7 +244,7 @@ def _pathsum_symmetric(phase_matrix: np.ndarray) -> float:
             # from the old e before adding it, so this is one step.
             lo, top = max(0, m - n + r), min(r + 1, m)
             e[lo + 1:top + 1] += (block[r] * v_conj[r]) * e[lo:top]
-        total += float((sign[start:start + size] @ e[m] @ sign).real)
+        total += (weight[start:start + size] @ e[m] @ weight).real
     return total / 4.0 ** (m - 1)
 
 
@@ -272,9 +348,11 @@ def scan_curve(
 ) -> CorrelationCurve:
     """Evaluate G(m) with (m-1) detectors at theta1 over a theta2 grid.
 
-    The closed form takes the whole grid in one call, the functional route
-    blocks of points, the others one point at a time.  No route can return a
-    negative value; non-finite inputs and float overflow raise ValueError.
+    The closed form and the path sum take the whole grid in one call (the
+    path sum as one (P, m) stack, whose m - 1 equal theta1 columns it groups),
+    the functional route blocks of points, the exact engine one point at a
+    time.  No route can return a negative value; non-finite inputs and float
+    overflow raise ValueError.
     """
     if method not in METHODS:
         raise ValueError(f"unknown method {method!r}, expected one of {METHODS}")
@@ -302,10 +380,9 @@ def scan_curve(
             det = DetectorList.coincident(theta1, order_m, float(theta2))
             values[i] = g_m_exact(geometry, det, state)
     elif method == "pathsum":
-        check_path_budget(grid.size * pathsum_terms(n, order_m))
-        for i, theta2 in enumerate(grid):
-            det = DetectorList.coincident(theta1, order_m, float(theta2))
-            values[i] = g_m_pathsum(geometry, det)
+        values = g_m_pathsum(
+            geometry, np.column_stack([np.full((grid.size, order_m - 1), theta1), grid])
+        )
     else:  # functional
         box = (order_m - 1, 1)
         angles = np.stack([np.full_like(grid, theta1), grid], axis=-1)

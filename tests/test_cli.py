@@ -277,6 +277,20 @@ def test_dense_cap_checked_before_allocation(capsys):
     assert peak < 1 << 20
 
 
+def test_pathsum_scan_memory_is_bounded_by_its_blocks(tmp_path):
+    # One stack of 1e5 points: each block of points holds at most PATH_CHUNK
+    # complex entries (16 MiB), beside the scan's own arrays of 1e5 floats.
+    tracemalloc.start()
+    try:
+        code = run(["--method", "pathsum", "--n-atoms", "12", "--order", "2",
+                    "--theta2-steps", "100000", "--out", str(tmp_path / "scan.csv")])
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert code == 0
+    assert peak < 24 << 20
+
+
 def test_theta2_steps_bounded_before_the_grid_is_built(capsys):
     tracemalloc.start()
     try:

@@ -79,6 +79,7 @@ def test_detector_angles_must_be_finite(bad):
         lambda: apply_field(g, bad, fully_excited(2)),
         lambda: intensity(g, bad, fully_excited(2)),
         lambda: cascade_subtract(g, bad, 2, fully_excited(2)),
+        lambda: cascade_subtract(g, bad, 0, fully_excited(2)),
         lambda: delta_for_detector(g, bad),
         lambda: conditional_g2(g, bad, 0.1),
         lambda: conditional_g2(g, 0.1, bad),

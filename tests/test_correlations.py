@@ -129,8 +129,12 @@ class TestPathsum:
         angles = tuple(np.random.default_rng(10 * n + m).uniform(-1.5, 1.5, m))
         assert_matches_literal_pathsum(EmitterGeometry(n, KD), angles)
 
-    @pytest.mark.parametrize("form", [_pathsum_subsets, _pathsum_symmetric],
-                             ids=["subsets", "symmetric"])
+    @pytest.mark.parametrize(
+        "form",
+        [_pathsum_subsets,
+         lambda phases: _pathsum_symmetric(phases[None], (1,) * phases.shape[1])[0]],
+        ids=["subsets", "symmetric"],
+    )
     @pytest.mark.parametrize(
         "n, m", [(n, m) for n in range(1, 7) for m in range(1, min(n, 4) + 1)]
     )
@@ -154,9 +158,9 @@ class TestPathsum:
         def spy(name):
             original = getattr(dickesim.correlations, name)
 
-            def run(phases):
+            def run(*args):
                 ran.append(name)
-                return original(phases)
+                return original(*args)
 
             monkeypatch.setattr(dickesim.correlations, name, run)
 
@@ -168,6 +172,60 @@ class TestPathsum:
             g_m_exact(g, angles, fully_excited(n)), rel=1e-9
         )
         assert ran == [form]
+
+    @pytest.mark.parametrize(
+        "n, pattern",
+        [(n, pattern) for n in range(2, 7)
+         for pattern in [(2, 1), (3, 1), (2, 2), (1, 2, 1), (2, 1, 1), (4,)]
+         if sum(pattern) <= n],
+    )
+    def test_repeated_angles_match_literal_enumeration(self, n, pattern):
+        # Angle g repeated pattern[g] times, in a random order for g_m_pathsum;
+        # the symmetric form takes the distinct angles in pattern's order.
+        g = EmitterGeometry(n, KD)
+        rng = np.random.default_rng(100 * n + sum(pattern))
+        distinct = rng.uniform(-1.5, 1.5, len(pattern))
+        labels = [i for i, mu in enumerate(pattern) for _ in range(mu)]
+        angles = tuple(float(distinct[labels[j]]) for j in rng.permutation(len(labels)))
+        assert [angles.count(float(a)) for a in distinct] == list(pattern)
+        reference = literal_pathsum(g, angles)
+        symmetric = _pathsum_symmetric(phase_matrix(g, distinct)[None], pattern)
+        assert symmetric.shape == (1,)
+        for value in (g_m_pathsum(g, angles), symmetric[0]):
+            assert abs(value - reference) <= 1e-12 * max(1.0, reference)
+
+    @pytest.mark.parametrize("chunk", [None, 600], ids=["one-block", "blocks"])
+    @pytest.mark.parametrize(
+        "n, m, theta1", [(12, 6, 0.3141), (9, 4, -1.2), (8, 5, 0.0)],
+        ids=["symmetric-12", "symmetric-9", "subsets"],
+    )
+    def test_a_stack_gives_each_tuple_its_value(self, monkeypatch, n, m, theta1, chunk):
+        # A coincident grid that holds theta1 itself, so that one row has m equal
+        # angles, and random tuples; (8, 5) runs the subset walk.  At 600 entries
+        # the symmetric form takes one point a block and several blocks of class rows.
+        if chunk:
+            monkeypatch.setattr(dickesim.correlations, "PATH_CHUNK", chunk)
+        g = EmitterGeometry(n, KD)
+        rng = np.random.default_rng(n + m)
+        grid = np.sort(np.append(rng.uniform(-1.5, 1.5, 6), theta1))
+        stacks = [np.column_stack([np.full((grid.size, m - 1), theta1), grid]),
+                  rng.uniform(-1.5, 1.5, (5, m))]
+        for stack in stacks:
+            values = g_m_pathsum(g, stack)
+            assert values.shape == (len(stack),)
+            for row, value in zip(stack, values):
+                single = g_m_pathsum(g, row)
+                assert abs(value - single) <= 1e-13 * max(1.0, single)
+
+    def test_stack_shape_and_angles_are_checked(self):
+        g = EmitterGeometry(4, KD)
+        with pytest.raises(ValueError, match=r"shape \(P, m\), got \(2, 2, 1\)"):
+            g_m_pathsum(g, np.zeros((2, 2, 1)))
+        with pytest.raises(ValueError, match=r"detector angles must be finite, got \[-inf, nan\]"):
+            g_m_pathsum(g, np.array([[0.1, math.nan], [-math.inf, 0.2]]))
+        with pytest.raises(ValueError, match="order must lie in 1..4, got 5"):
+            g_m_pathsum(g, np.zeros((3, 5)))
+        assert g_m_pathsum(g, np.zeros((0, 2))).shape == (0,)
 
     def test_symmetric_form_reaches_past_the_subset_budget(self):
         # C(40, 8) * 2^7 = 9.8e9 subset terms, over the budget; 4^7 * 40 = 6.6e5.
