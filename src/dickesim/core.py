@@ -37,6 +37,16 @@ def check_order(n_emitters: int, order_m: int) -> None:
         raise ValueError(f"order must lie in 1..{n_emitters}, got {order_m}")
 
 
+def check_finite_angles(angles: np.ndarray) -> None:
+    """Reject an array of detector angles with a NaN or an infinity, naming only those.
+
+    Callers check before np.sin, which warns on inf.
+    """
+    if not np.isfinite(angles).all():
+        bad = np.unique(angles[~np.isfinite(angles)])
+        raise ValueError(f"detector angles must be finite, got {bad.tolist()}")
+
+
 def _dense_dim(n_emitters: int) -> int:
     # Checked before anything of size 2**N is allocated.
     _check_count("emitter count", n_emitters)

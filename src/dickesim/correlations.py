@@ -30,6 +30,7 @@ from .core import (
     EmitterGeometry,
     StateVector,
     apply_field,
+    check_finite_angles,
     check_order,
     fully_excited,
 )
@@ -40,7 +41,8 @@ from .functional import BLOCK_COEFFICIENTS, build_functional, extract_gm, functi
 PATH_BUDGET = 1e8
 # Most complex entries a block of g_m_pathsum holds: subsets x m x m gathered
 # phase factors, or, over a block of points, their phases, v and
-# (2m + 2) x rows x classes symmetric-polynomial entries.
+# (2m + 2) x rows x classes symmetric-polynomial entries; and the most angles
+# one stack of a pathsum scan holds.
 PATH_CHUNK = 2**20
 
 METHODS = ("exact", "pathsum", "closed", "functional")
@@ -96,7 +98,8 @@ def g_m_pathsum(geometry: EmitterGeometry, detectors):
     an elementary symmetric polynomial, 4^(m-1) * N terms, which forms no
     subset and sums over classes of sign vectors on the distinct detector
     angles (_sign_classes).  Each streams blocks of at most PATH_CHUNK
-    entries, so memory does not grow with N or with the number of points.
+    entries, so memory does not grow with N, nor with the number of points
+    past the stack, its values and one copy of it to group the columns.
 
     detectors is one set of m angles, read through DetectorList, and gives a
     float; or a (P, m) array, a stack of P sets, which gives a (P,) array.
@@ -106,8 +109,7 @@ def g_m_pathsum(geometry: EmitterGeometry, detectors):
     n = geometry.n_emitters
     single = not isinstance(detectors, np.ndarray) or detectors.ndim == 1
     if single:
-        angles = DetectorList(detectors).angles
-        stack = np.array([angles])
+        stack = np.array([DetectorList(detectors).angles])
     else:
         stack = np.asarray(detectors, dtype=float)
         if stack.ndim != 2:
@@ -116,16 +118,12 @@ def g_m_pathsum(geometry: EmitterGeometry, detectors):
     check_order(n, m)
     terms = pathsum_terms(n, m)
     check_path_budget(points * terms)
-    # Checked before np.sin, which warns on inf; a stack names only its bad values.
-    if not single and not np.isfinite(stack).all():
-        bad = np.unique(stack[~np.isfinite(stack)])
-        raise ValueError(f"detector angles must be finite, got {bad.tolist()}")
+    check_finite_angles(stack)
     if terms >= _subset_terms(n, m):
         values = [_pathsum_subsets(_phases(geometry, row)) for row in np.sin(stack)]
         return values[0] if single else np.array(values)
 
-    # A single set is grouped by its angles, a stack by the bytes of its columns.
-    groups = _equal_columns(angles if single else [stack[:, j].tobytes() for j in range(m)])
+    groups = _equal_columns(stack)
     columns = [group[0] for group in groups]
     multiplicities = tuple(map(len, groups))
     # A point holds its phases, v and conj(v), and e, w and the update of its
@@ -140,11 +138,12 @@ def g_m_pathsum(geometry: EmitterGeometry, detectors):
     return float(values[0]) if single else values
 
 
-def _equal_columns(keys) -> list[list[int]]:
-    """Indices of the columns with equal keys, one list per group, in first-seen order."""
+def _equal_columns(stack: np.ndarray) -> list[list[int]]:
+    """Indices of the columns equal byte for byte in every row, one list per group,
+    in first-seen order."""
     groups: dict = {}
-    for j, key in enumerate(keys):
-        groups.setdefault(key, []).append(j)
+    for j in range(stack.shape[1]):
+        groups.setdefault(stack[:, j].tobytes(), []).append(j)
     return list(groups.values())
 
 
@@ -348,10 +347,10 @@ def scan_curve(
 ) -> CorrelationCurve:
     """Evaluate G(m) with (m-1) detectors at theta1 over a theta2 grid.
 
-    The closed form and the path sum take the whole grid in one call (the
-    path sum as one (P, m) stack, whose m - 1 equal theta1 columns it groups),
-    the functional route blocks of points, the exact engine one point at a
-    time.  No route can return a negative value; non-finite inputs and float
+    The closed form takes the whole grid in one call, the path sum (P, m)
+    stacks of at most PATH_CHUNK angles, whose m - 1 equal theta1 columns it
+    groups, the functional route blocks of points, the exact engine one
+    point at a time.  No route can return a negative value; non-finite inputs and float
     overflow raise ValueError.
     """
     if method not in METHODS:
@@ -380,9 +379,13 @@ def scan_curve(
             det = DetectorList.coincident(theta1, order_m, float(theta2))
             values[i] = g_m_exact(geometry, det, state)
     elif method == "pathsum":
-        values = g_m_pathsum(
-            geometry, np.column_stack([np.full((grid.size, order_m - 1), theta1), grid])
-        )
+        check_path_budget(grid.size * pathsum_terms(n, order_m))
+        # Stacks of at most PATH_CHUNK angles, so that no scan holds m copies of its grid.
+        size = max(1, PATH_CHUNK // order_m)
+        for start in range(0, grid.size, size):
+            block = grid[start:start + size, None]
+            stack = np.hstack([np.full((len(block), order_m - 1), theta1), block])
+            values[start:start + size] = g_m_pathsum(geometry, stack)
     else:  # functional
         box = (order_m - 1, 1)
         angles = np.stack([np.full_like(grid, theta1), grid], axis=-1)

@@ -22,7 +22,7 @@ from typing import Mapping, Sequence
 
 import numpy as np
 
-from .core import EmitterGeometry, _check_count
+from .core import EmitterGeometry, _check_count, check_finite_angles
 
 # Most coefficient updates a build makes per point: N * sum_d cols_d^2, where
 # cols_d counts the box's exponent tuples of degree d.  It bounds both a build's
@@ -100,10 +100,7 @@ def build_functional(geometry: EmitterGeometry, angles, box: Sequence[int]) -> F
     angles = np.asarray(angles, dtype=float)
     if angles.ndim < 1 or angles.shape[-1] != k:
         raise ValueError(f"expected angles of shape (..., {k}), got {angles.shape}")
-    # Checked before np.sin, which warns on inf; a stack names only its bad values.
-    if not np.isfinite(angles).all():
-        bad = np.unique(angles[~np.isfinite(angles)])
-        raise ValueError(f"detector angles must be finite, got {bad.tolist()}")
+    check_finite_angles(angles)
     sines = np.sin(angles)
 
     # levels[d]: the box's exponent tuples of degree d, ascending.

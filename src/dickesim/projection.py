@@ -11,7 +11,6 @@ The "conditioning factorization" suite in ``verify`` checks that it does;
 """
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 from .core import (
@@ -40,9 +39,8 @@ def cascade_subtract(
     _check_count("count", count)
     if count < 0:
         raise ValueError(f"count must be >= 0, got {count}")
-    # Checked here as well as in phase_of: with count 0 no field is applied.
-    if not math.isfinite(theta1):
-        raise ValueError(f"detector angle must be finite, got {theta1}")
+    # Checked before the loop as well as in it: with count 0 no field is applied.
+    geometry.phase_of(1, theta1)
     if not state.is_normalized():
         raise ValueError("cascade_subtract requires a normalized state")
     current = state

@@ -291,6 +291,24 @@ def test_pathsum_scan_memory_is_bounded_by_its_blocks(tmp_path):
     assert peak < 24 << 20
 
 
+def test_refused_pathsum_scan_builds_no_stack(capsys):
+    # (20, 20) takes 2^19 subset terms a point, so 1e6 points are refused before
+    # any stack is built: the peak is the 8 MB grid and a few arrays like it,
+    # not the 160 MB of twenty angles a point.
+    tracemalloc.start()
+    try:
+        code = run(["--method", "pathsum", "--n-atoms", "20", "--order", "20",
+                    "--theta2-steps", "1000000"])
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert code == 2
+    assert capsys.readouterr().err == (
+        "error: 524288000000 path-sum terms exceed the budget of 1e+08\n"
+    )
+    assert peak < 4 * 8_000_000
+
+
 def test_theta2_steps_bounded_before_the_grid_is_built(capsys):
     tracemalloc.start()
     try:

@@ -565,6 +565,25 @@ class TestScanAndSummary:
         with pytest.raises(ValueError, match="104857600 path-sum terms exceed"):
             scan_curve(g, 10, 0.0, np.linspace(-1, 1, 20), "pathsum")
 
+    def test_a_pathsum_scan_in_several_stacks_keeps_its_values(self, monkeypatch):
+        # At PATH_CHUNK = 12 a scan at m = 6 passes stacks of two points, so seven
+        # points take four calls, each point and class row a block of its own.
+        g = EmitterGeometry(12, KD)
+        grid = np.linspace(-1.5, 1.5, 7)
+        whole = scan_curve(g, 6, 0.3141, grid, "pathsum").values
+        calls = []
+        original = dickesim.correlations.g_m_pathsum
+
+        def spy(geometry, stack):
+            calls.append(len(stack))
+            return original(geometry, stack)
+
+        monkeypatch.setattr(dickesim.correlations, "g_m_pathsum", spy)
+        monkeypatch.setattr(dickesim.correlations, "PATH_CHUNK", 12)
+        values = scan_curve(g, 6, 0.3141, grid, "pathsum").values
+        assert calls == [2, 2, 2, 1]
+        np.testing.assert_allclose(values, whole, rtol=1e-13, atol=0)
+
     def test_every_route_is_nonnegative_without_a_clamp(self):
         # scan_curve returns the routes' raw values: none may be negative or -0.0,
         # at the fringe zeros x = 2 pi k / N (zeros of G at m = N) or at random points.
