@@ -350,8 +350,8 @@ def scan_curve(
     The closed form takes the whole grid in one call, the path sum (P, m)
     stacks of at most PATH_CHUNK angles, whose m - 1 equal theta1 columns it
     groups, the functional route blocks of points, the exact engine one
-    point at a time.  No route can return a negative value; non-finite inputs and float
-    overflow raise ValueError.
+    point at a time.  No route can return a negative value; non-finite
+    inputs and float overflow raise ValueError.
     """
     if method not in METHODS:
         raise ValueError(f"unknown method {method!r}, expected one of {METHODS}")
