@@ -5,8 +5,8 @@
                    formula, in whichever of two forms takes fewer terms:
                    one permanent per emitter subset, or the subset sum as
                    an elementary symmetric polynomial, time polynomial in N,
-                   over classes of sign vectors on the distinct angles; one
-                   set of angles or a (P, m) stack of them
+                   over classes of sign vectors on the distinct angles; at
+                   every row of a (P, m) stack, both forms over blocks of rows
                    (shares no kernel with the engine; serves as the oracle)
 * g_m_closed_coincident -- analytic form for (m-1) coincident detectors,
                    elementwise: a float for a scalar phase, an array for an array
@@ -39,10 +39,12 @@ from .functional import BLOCK_COEFFICIENTS, build_functional, extract_gm, functi
 # Most path-sum terms, pathsum_terms(N, m) per path sum, that one g_m_pathsum
 # call, pathsum scan or verification run may take.
 PATH_BUDGET = 1e8
-# Most complex entries a block of g_m_pathsum holds: subsets x m x m gathered
-# phase factors, or, over a block of points, their phases, v and
-# (2m + 2) x rows x classes symmetric-polynomial entries; and the most angles
-# one stack of a pathsum scan holds.
+# Most complex entries a block of points of g_m_pathsum holds: for the subset
+# walk, their phases and 4 x m x m entries a subset for the gathered phase
+# factors, delta @ a and their temporaries, in tiles of at most this many
+# gathered factors; for the symmetric form, their phases, v and
+# (2m + 2) x rows x classes symmetric-polynomial entries.  Also the most
+# angles one stack of a pathsum scan holds.
 PATH_CHUNK = 2**20
 
 METHODS = ("exact", "pathsum", "closed", "functional")
@@ -85,8 +87,8 @@ def g_m_exact(geometry: EmitterGeometry, detectors, state: StateVector) -> float
     return current.norm_sq()
 
 
-def g_m_pathsum(geometry: EmitterGeometry, detectors):
-    """Path-sum correlation of the fully excited state.
+def g_m_pathsum(geometry: EmitterGeometry, detectors) -> np.ndarray:
+    """Path-sum correlation of the fully excited state at each of P detector tuples.
 
     For every m-element emitter subset, the coherent amplitude over all m!
     assignments of detectors to emitters is the permanent of the m x m
@@ -97,45 +99,43 @@ def g_m_pathsum(geometry: EmitterGeometry, detectors):
     the subset walk, C(N, m) * 2^(m-1) terms, or the subset sum taken as
     an elementary symmetric polynomial, 4^(m-1) * N terms, which forms no
     subset and sums over classes of sign vectors on the distinct detector
-    angles (_sign_classes).  Each streams blocks of at most PATH_CHUNK
-    entries, so memory does not grow with N, nor with the number of points
-    past the stack, its values and one copy of it to group the columns.
+    angles (_sign_classes).  Both run over blocks of points of at most
+    PATH_CHUNK entries, so memory does not grow with N, nor with the
+    number of points past the stack, its values and one copy of it.
 
-    detectors is one set of m angles, read through DetectorList, and gives a
-    float; or a (P, m) array, a stack of P sets, which gives a (P,) array.
+    detectors is a (P, m) stack of P sets of m angles, and gives a (P,) array.
     The budget counts P * pathsum_terms(N, m) before anything is allocated;
     at repeated angles that is an upper bound on the work.
     """
     n = geometry.n_emitters
-    single = not isinstance(detectors, np.ndarray) or detectors.ndim == 1
-    if single:
-        stack = np.array([DetectorList(detectors).angles])
-    else:
-        stack = np.asarray(detectors, dtype=float)
-        if stack.ndim != 2:
-            raise ValueError(f"expected detector angles of shape (P, m), got {stack.shape}")
+    stack = np.asarray(detectors, dtype=float)
+    if stack.ndim != 2:
+        raise ValueError(f"expected detector angles of shape (P, m), got {stack.shape}")
     points, m = stack.shape
     check_order(n, m)
     terms = pathsum_terms(n, m)
     check_path_budget(points * terms)
     check_finite_angles(stack)
     if terms >= _subset_terms(n, m):
-        values = [_pathsum_subsets(_phases(geometry, row)) for row in np.sin(stack)]
-        return values[0] if single else np.array(values)
-
-    groups = _equal_columns(stack)
-    columns = [group[0] for group in groups]
-    multiplicities = tuple(map(len, groups))
-    # A point holds its phases, v and conj(v), and e, w and the update of its
-    # class pairs (see _pathsum_symmetric); blocks of points hold at most PATH_CHUNK.
-    classes = len(_sign_classes(multiplicities)[1])
-    per_point = n * (len(groups) + 2 * classes) + (2 * m + 2) * classes**2
+        columns, form = list(range(m)), _pathsum_subsets
+        # A point holds its phases, and its gathered phase factors, delta @ a
+        # and their temporaries over all subsets (see _pathsum_subsets).
+        per_point = n * m + 4 * m * m * math.comb(n, m)
+    else:
+        groups = _equal_columns(stack)
+        columns = [group[0] for group in groups]
+        multiplicities = tuple(map(len, groups))
+        form = lambda phases: _pathsum_symmetric(phases, multiplicities)
+        # A point holds its phases, v and conj(v), and e, w and the update of
+        # its class pairs (see _pathsum_symmetric).
+        classes = len(_sign_classes(multiplicities)[1])
+        per_point = n * (len(groups) + 2 * classes) + (2 * m + 2) * classes**2
     size = max(1, PATH_CHUNK // per_point)
     values = np.empty(points)
     for start in range(0, points, size):
-        sines = np.sin(stack[start:start + size, columns])
-        values[start:start + size] = _pathsum_symmetric(_phases(geometry, sines), multiplicities)
-    return float(values[0]) if single else values
+        block = slice(start, start + size)
+        values[block] = form(_phases(geometry, np.sin(stack[block, columns])))
+    return values
 
 
 def _equal_columns(stack: np.ndarray) -> list[list[int]]:
@@ -185,29 +185,29 @@ def _sign_classes(multiplicities: tuple[int, ...]) -> tuple[np.ndarray, np.ndarr
     return coef, weight
 
 
-def _pathsum_subsets(phase_matrix: np.ndarray) -> float:
-    """Sum over emitter subsets S of |perm(phase_matrix[S])|^2, one permanent each.
+def _pathsum_subsets(phases: np.ndarray) -> np.ndarray:
+    """Sum over emitter subsets S of |perm(A_S)|^2 at P points, A being phases[p], (N, m).
 
-    Subsets are gathered in tiles of at most PATH_CHUNK phase factors; the
-    row sums of each tile are one matrix product per block of m sign vectors.
+    Tiles of subsets hold at most PATH_CHUNK phase factors over all P points;
+    the row sums of a tile are one matrix product per block of m sign vectors.
     """
-    n, m = phase_matrix.shape
-    total = 0.0
+    points, n, m = phases.shape
+    total = np.zeros(points)
     n_signs = 1 << (m - 1)
     subsets = itertools.combinations(range(n), m)
-    size = max(1, PATH_CHUNK // m**2)
+    size = max(1, PATH_CHUNK // (m * m * points))
     while (tile := np.fromiter(itertools.islice(subsets, size), dtype=(np.intp, (m,)))).size:
-        # a[r, j * len(tile) + s]: phase of emitter tile[s, r] toward detector j
-        a = phase_matrix[tile.T[:, None, :], np.arange(m)[:, None]].reshape(m, -1)
+        # a[p, r, j * len(tile) + s]: phase of emitter tile[s, r] toward detector j at point p
+        a = phases[:, tile.T[:, None, :], np.arange(m)[:, None]].reshape(points, m, -1)
         # perm(a) = 2^(1-m) * sum over delta of prod(delta) * prod_j sum_r delta_r a[r, j].
         # One expression per block, so that its row sums are freed before the
         # next block's are formed.
-        acc = np.zeros(len(tile), dtype=complex)
+        acc = np.zeros((points, len(tile)), dtype=complex)
         for start in range(0, n_signs, m):
             delta = _glynn_signs(np.arange(start, min(start + m, n_signs)), m)
-            acc += delta.prod(axis=1) @ (delta @ a).reshape(len(delta), m, -1).prod(axis=1)
+            acc += delta.prod(axis=1) @ (delta @ a).reshape(points, len(delta), m, -1).prod(axis=2)
         amplitudes = acc / n_signs
-        total += float((amplitudes.real**2 + amplitudes.imag**2).sum())
+        total += (amplitudes.real**2 + amplitudes.imag**2).sum(axis=1)
     return total
 
 

@@ -81,9 +81,8 @@ def cross_method_suite(
     for n, geometry, state in _chains(n_max, kd):
         for m in range(1, n + 1):
             thetas = rng.uniform(-math.pi / 2, math.pi / 2, size=(n_tuples, m))
-            for row in thetas:
+            for row, b in zip(thetas, g_m_pathsum(geometry, thetas).tolist()):
                 a = g_m_exact(geometry, row, state)
-                b = g_m_pathsum(geometry, row)
                 yield rel_dev(a, b), f"N={n} m={m} angles={np.round(row, 4).tolist()}"
 
 
@@ -100,13 +99,15 @@ def coincident_oracle_suite(
         pairs = rng.uniform(-math.pi / 2, math.pi / 2, size=(n_tuples, 2))
         poly = build_functional(geometry, pairs, (n - 1, 1))
         functional = [extract_gm(poly, (m - 1, 1)) for m in range(1, n + 1)]
+        # One stack per m: m - 1 columns of theta1, then theta2.
+        pathsum = [g_m_pathsum(geometry, pairs[:, [0] * (m - 1) + [1]]) for m in range(1, n + 1)]
         for i, (theta1, theta2) in enumerate(pairs.tolist()):
             x = geometry.kd * (math.sin(theta1) - math.sin(theta2))
             for m in range(1, n + 1):
                 det = DetectorList.coincident(theta1, m, theta2)
                 values = {
                     "exact": g_m_exact(geometry, det, state),
-                    "pathsum": g_m_pathsum(geometry, det),
+                    "pathsum": float(pathsum[m - 1][i]),
                     "closed": g_m_closed_coincident(n, m, x),
                     "functional": float(functional[m - 1][i]),
                 }
@@ -192,8 +193,8 @@ def run_all(
     # a kd too large for the largest chain is rejected before any suite runs.
     n_dicke = max(n_max, 10)
     EmitterGeometry(n_dicke, kd)
-    # The cross-method and coincident suites each take n_tuples path sums
-    # at every 2 <= N <= n_max, 1 <= m <= N.
+    # The cross-method and coincident suites each take one stack of n_tuples
+    # path sums at every 2 <= N <= n_max, 1 <= m <= N.
     check_path_budget(
         2 * n_tuples * sum(
             pathsum_terms(n, m) for n in range(2, n_max + 1) for m in range(1, n + 1)

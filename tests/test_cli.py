@@ -151,12 +151,13 @@ def test_verify_reports_the_five_suites_in_order(capsys):
 
 
 def test_verify_detects_injected_fault(capsys, monkeypatch):
-    # Plant the fault in the path-sum route only: it negates the first angle.
+    # Plant the fault in the path-sum route only: it negates the first angle of each tuple.
     original = dickesim.verify.g_m_pathsum
 
-    def flipped(geometry, angles, **kwargs):
-        angles = tuple(angles)
-        return original(geometry, (-angles[0],) + angles[1:], **kwargs)
+    def flipped(geometry, stack, **kwargs):
+        stack = np.array(stack, dtype=float)
+        stack[:, 0] = -stack[:, 0]
+        return original(geometry, stack, **kwargs)
 
     monkeypatch.setattr(dickesim.verify, "g_m_pathsum", flipped)
     code = run(["--verify", "--n-atoms", "4", "--tuples", "5", "--seed", "1"])
@@ -277,12 +278,16 @@ def test_dense_cap_checked_before_allocation(capsys):
     assert peak < 1 << 20
 
 
-def test_pathsum_scan_memory_is_bounded_by_its_blocks(tmp_path):
+@pytest.mark.parametrize(
+    "n, m", [(12, 2), (4, 2), (5, 3)], ids=["symmetric", "subsets-4", "subsets-5"]
+)
+def test_pathsum_scan_memory_is_bounded_by_its_blocks(tmp_path, n, m):
     # One stack of 1e5 points: each block of points holds at most PATH_CHUNK
     # complex entries (16 MiB), beside the scan's own arrays of 1e5 floats.
+    # (12, 2) runs the symmetric form, (4, 2) and (5, 3) the subset walk.
     tracemalloc.start()
     try:
-        code = run(["--method", "pathsum", "--n-atoms", "12", "--order", "2",
+        code = run(["--method", "pathsum", "--n-atoms", str(n), "--order", str(m),
                     "--theta2-steps", "100000", "--out", str(tmp_path / "scan.csv")])
         _, peak = tracemalloc.get_traced_memory()
     finally:

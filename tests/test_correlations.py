@@ -64,7 +64,7 @@ def phase_matrix(geometry, angles):
 
 def assert_matches_literal_pathsum(geometry, angles):
     reference = literal_pathsum(geometry, angles)
-    assert abs(g_m_pathsum(geometry, angles) - reference) <= 1e-12 * max(1.0, reference)
+    assert abs(g_m_pathsum(geometry, [angles])[0] - reference) <= 1e-12 * max(1.0, reference)
 
 
 class TestExact:
@@ -105,22 +105,22 @@ class TestPathsum:
         g = EmitterGeometry(2, KD)
         for x in (0.0, 0.7, math.pi, 4.0):
             det = (0.0, theta_for_phase(x))
-            assert g_m_pathsum(g, det) == pytest.approx(
+            assert g_m_pathsum(g, [det])[0] == pytest.approx(
                 2 * (1 + math.cos(x)), abs=1e-12
             )
 
     def test_single_detector_gives_n(self):
         g = EmitterGeometry(3, KD)
-        assert g_m_pathsum(g, (0.42,)) == pytest.approx(3.0, rel=1e-12)
+        assert g_m_pathsum(g, [(0.42,)])[0] == pytest.approx(3.0, rel=1e-12)
 
     def test_full_order_coincident_peak(self):
         g = EmitterGeometry(4, KD)
-        assert g_m_pathsum(g, (0.0,) * 4) == pytest.approx(576.0, rel=1e-12)
+        assert g_m_pathsum(g, [(0.0,) * 4])[0] == pytest.approx(576.0, rel=1e-12)
 
     def test_m_above_n_rejected(self):
         g = EmitterGeometry(2, KD)
         with pytest.raises(ValueError):
-            g_m_pathsum(g, (0.1, 0.2, 0.3))
+            g_m_pathsum(g, [(0.1, 0.2, 0.3)])
 
     @pytest.mark.parametrize(
         "n, m", [(n, m) for n in range(1, 7) for m in range(1, min(n, 4) + 1)]
@@ -131,7 +131,7 @@ class TestPathsum:
 
     @pytest.mark.parametrize(
         "form",
-        [_pathsum_subsets,
+        [lambda phases: _pathsum_subsets(phases[None])[0],
          lambda phases: _pathsum_symmetric(phases[None], (1,) * phases.shape[1])[0]],
         ids=["subsets", "symmetric"],
     )
@@ -168,7 +168,7 @@ class TestPathsum:
         spy("_pathsum_symmetric")
         g = EmitterGeometry(n, KD)
         angles = tuple(np.random.default_rng(n + m).uniform(-1.5, 1.5, m))
-        assert g_m_pathsum(g, angles) == pytest.approx(
+        assert g_m_pathsum(g, [angles])[0] == pytest.approx(
             g_m_exact(g, angles, fully_excited(n)), rel=1e-9
         )
         assert ran == [form]
@@ -191,18 +191,21 @@ class TestPathsum:
         reference = literal_pathsum(g, angles)
         symmetric = _pathsum_symmetric(phase_matrix(g, distinct)[None], pattern)
         assert symmetric.shape == (1,)
-        for value in (g_m_pathsum(g, angles), symmetric[0]):
+        for value in (g_m_pathsum(g, [angles])[0], symmetric[0]):
             assert abs(value - reference) <= 1e-12 * max(1.0, reference)
 
-    @pytest.mark.parametrize("chunk", [None, 600], ids=["one-block", "blocks"])
+    @pytest.mark.parametrize("chunk", [None, 600, 40], ids=["one-block", "blocks", "tiles"])
     @pytest.mark.parametrize(
-        "n, m, theta1", [(12, 6, 0.3141), (9, 4, -1.2), (8, 5, 0.0)],
-        ids=["symmetric-12", "symmetric-9", "subsets"],
+        "n, m, theta1", [(12, 6, 0.3141), (9, 4, -1.2), (8, 5, 0.0), (5, 3, 0.3141)],
+        ids=["symmetric-12", "symmetric-9", "subsets", "subsets-5"],
     )
     def test_a_stack_gives_each_tuple_its_value(self, monkeypatch, n, m, theta1, chunk):
         # A coincident grid that holds theta1 itself, so that one row has m equal
-        # angles, and random tuples; (8, 5) runs the subset walk.  At 600 entries
-        # the symmetric form takes one point a block and several blocks of class rows.
+        # angles, and random tuples; (8, 5) and (5, 3) run the subset walk.  At 600
+        # entries the symmetric form takes one point a block and several blocks of
+        # class rows.  The subset walk takes every point in one block, then at 600
+        # and 40 one point a block, and at 40 several tiles of subsets a point
+        # (C(5, 3) = 10 subsets in tiles of 4).
         if chunk:
             monkeypatch.setattr(dickesim.correlations, "PATH_CHUNK", chunk)
         g = EmitterGeometry(n, KD)
@@ -214,8 +217,11 @@ class TestPathsum:
             values = g_m_pathsum(g, stack)
             assert values.shape == (len(stack),)
             for row, value in zip(stack, values):
-                single = g_m_pathsum(g, row)
+                single = g_m_pathsum(g, row[None])[0]
                 assert abs(value - single) <= 1e-13 * max(1.0, single)
+                if math.perm(n, m) <= 5000:
+                    reference = literal_pathsum(g, tuple(row))
+                    assert abs(value - reference) <= 1e-12 * max(1.0, reference)
 
     def test_stack_shape_and_angles_are_checked(self):
         g = EmitterGeometry(4, KD)
@@ -233,7 +239,9 @@ class TestPathsum:
         det = DetectorList.coincident(0.1, 8, 0.4)
         x = KD * (math.sin(0.1) - math.sin(0.4))
         assert pathsum_terms(40, 8) == 655360
-        assert g_m_pathsum(g, det) == pytest.approx(g_m_closed_coincident(40, 8, x), rel=1e-9)
+        assert g_m_pathsum(g, [det.angles])[0] == pytest.approx(
+            g_m_closed_coincident(40, 8, x), rel=1e-9
+        )
 
     @given(
         n=st.integers(1, 6),
@@ -256,7 +264,7 @@ class TestPathsum:
         g = EmitterGeometry(n, KD)
         det = DetectorList.coincident(theta1, n, theta2)
         x = KD * (math.sin(theta1) - math.sin(theta2))
-        assert g_m_pathsum(g, det) == pytest.approx(
+        assert g_m_pathsum(g, [det.angles])[0] == pytest.approx(
             g_m_closed_coincident(n, n, x), rel=rel
         )
 
@@ -264,7 +272,7 @@ class TestPathsum:
         # C(20, 14) * 2^13 = 3.2e8 terms, over the 1e8 budget.
         g = EmitterGeometry(20, KD)
         with pytest.raises(ValueError, match="path-sum terms exceed"):
-            g_m_pathsum(g, (0.1,) * 14)
+            g_m_pathsum(g, [(0.1,) * 14])
 
     @pytest.mark.parametrize("n, m", [(9, 9), (10, 9)])
     def test_matches_exact_across_permutation_tiles(self, n, m):
@@ -272,7 +280,7 @@ class TestPathsum:
         g = EmitterGeometry(n, KD)
         angles = tuple(np.random.default_rng(n).uniform(-1.5, 1.5, m))
         exact = g_m_exact(g, angles, fully_excited(n))
-        assert g_m_pathsum(g, angles) == pytest.approx(exact, rel=1e-9)
+        assert g_m_pathsum(g, [angles])[0] == pytest.approx(exact, rel=1e-9)
 
     def test_tile_size_does_not_change_the_sum(self, monkeypatch):
         # N = 7, m = 5 runs the subset walk; N = 9, m = 4 the symmetric form
@@ -283,16 +291,16 @@ class TestPathsum:
                  (EmitterGeometry(9, KD), (0.3, -0.8, 1.1, 0.2)),
                  (EmitterGeometry(50, KD), (0.3,)),
                  (EmitterGeometry(6, KD), (0.3, -0.8, 1.1))]
-        whole = [g_m_pathsum(g, angles) for g, angles in cases]
+        whole = [g_m_pathsum(g, [angles])[0] for g, angles in cases]
         monkeypatch.setattr(dickesim.correlations, "PATH_CHUNK", 40)
         for (g, angles), value in zip(cases, whole):
-            assert g_m_pathsum(g, angles) == pytest.approx(value, rel=1e-12)
+            assert g_m_pathsum(g, [angles])[0] == pytest.approx(value, rel=1e-12)
 
     def test_memory_does_not_grow_with_the_path_count(self):
         g = EmitterGeometry(9, KD)
         tracemalloc.start()
         try:
-            g_m_pathsum(g, (0.1,) * 9)
+            g_m_pathsum(g, [(0.1,) * 9])
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
@@ -303,7 +311,7 @@ class TestPathsum:
         g = EmitterGeometry(20, KD)
         tracemalloc.start()
         try:
-            g_m_pathsum(g, DetectorList.coincident(0.1, 10, 0.4))
+            g_m_pathsum(g, [DetectorList.coincident(0.1, 10, 0.4).angles])
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
@@ -601,7 +609,7 @@ class TestScanAndSummary:
                 for i, (theta1, theta2) in enumerate(pairs):
                     det = DetectorList.coincident(theta1, m, theta2)
                     x = KD * (math.sin(theta1) - math.sin(theta2))
-                    values = (g_m_exact(g, det, state), g_m_pathsum(g, det),
+                    values = (g_m_exact(g, det, state), g_m_pathsum(g, [det.angles])[0],
                               g_m_closed_coincident(n, m, x), functional[i])
                     for value in values:
                         assert value >= 0 and math.copysign(1.0, value) == 1.0, (n, m, i)
@@ -672,11 +680,11 @@ def test_first_zero_edge_cases(phase_x, values, expected):
 
 @pytest.mark.parametrize(
     "route",
-    [lambda g, det: g_m_exact(g, det, fully_excited(g.n_emitters)), g_m_pathsum],
-    ids=["exact", "pathsum"],
+    [lambda g, det: g_m_exact(g, det, fully_excited(g.n_emitters))],
+    ids=["exact"],
 )
 def test_every_angle_input_gives_the_same_value(route):
-    # Both routes read their angles through DetectorList, which takes any iterable once.
+    # The exact route reads its angles through DetectorList, which takes any iterable once.
     g = EmitterGeometry(5, KD)
     angles = (0.3, -0.8, 1.1)
     inputs = [list(angles), angles, (t for t in angles), DetectorList(angles),

@@ -5,6 +5,7 @@ one route, as the suite's module sees it, and runs the suite again.
 """
 import math
 
+import numpy as np
 import pytest
 
 import dickesim.correlations
@@ -24,11 +25,10 @@ def scaled(fn, factor=1 + 1e-6):
     return lambda *args, **kwargs: fn(*args, **kwargs) * factor
 
 
-def flipped_pathsum(geometry, angles, **kwargs):
-    angles = tuple(angles)
-    return dickesim.correlations.g_m_pathsum(
-        geometry, (-angles[0],) + angles[1:], **kwargs
-    )
+def flipped_pathsum(geometry, stack, **kwargs):
+    stack = np.array(stack, dtype=float)
+    stack[:, 0] = -stack[:, 0]
+    return dickesim.correlations.g_m_pathsum(geometry, stack, **kwargs)
 
 
 def offset_cascade(geometry, theta1, count, state):
@@ -39,7 +39,7 @@ CASES = [
     (lambda: cross_method_suite(n_max=4, n_tuples=5),
      dickesim.verify, "g_m_pathsum", flipped_pathsum),
     (lambda: cross_method_suite(n_max=4, n_tuples=3),
-     dickesim.verify, "g_m_pathsum", lambda *args, **kwargs: math.nan),
+     dickesim.verify, "g_m_pathsum", lambda geometry, stack: np.full(len(stack), math.nan)),
     (lambda: coincident_oracle_suite(n_max=4, n_tuples=5),
      dickesim.verify, "g_m_closed_coincident",
      scaled(dickesim.verify.g_m_closed_coincident)),
