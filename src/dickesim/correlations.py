@@ -1,6 +1,8 @@
 """m-th order intensity correlations by four independent routes.
 
-* g_m_exact     -- operator algebra on the dense state vector
+* g_m_exact     -- operator algebra on the dense state vector; a scan
+                   prepares the detected state once and reads every theta2
+                   from a QR square root of its coherence matrix
 * g_m_pathsum   -- coherent sum over which-emitter assignments by Glynn's
                    formula, in whichever of two forms takes fewer terms:
                    one permanent per emitter subset, or the subset sum as
@@ -46,6 +48,10 @@ PATH_BUDGET = 1e8
 # (2m + 2) x rows x classes symmetric-polynomial entries.  Also the most
 # angles one stack of a pathsum scan holds.
 PATH_CHUNK = 2**20
+
+# Rows of phi per QR step of an exact scan, and points per block of its
+# phases: small, so that LAPACK's work buffers and the blocks stay small.
+EXACT_ROWS = 128
 
 METHODS = ("exact", "pathsum", "closed", "functional")
 
@@ -349,9 +355,11 @@ def scan_curve(
 
     The closed form takes the whole grid in one call, the path sum (P, m)
     stacks of at most PATH_CHUNK angles, whose m - 1 equal theta1 columns it
-    groups, the functional route blocks of points, the exact engine one
-    point at a time.  No route can return a negative value; non-finite
-    inputs and float overflow raise ValueError.
+    groups, the functional route blocks of points.  The exact engine
+    applies the m - 1 fields at theta1 once, then reads blocks of
+    EXACT_ROWS points from the coherence matrix of the state they leave.
+    No route can return a negative value; non-finite inputs and float
+    overflow raise ValueError.
     """
     if method not in METHODS:
         raise ValueError(f"unknown method {method!r}, expected one of {METHODS}")
@@ -374,10 +382,25 @@ def scan_curve(
     if method == "closed":
         values = g_m_closed_coincident(n, order_m, phase_x)
     elif method == "exact":
+        # m - 1 detections at theta1 prepare psi once.  phi[t, l] = <t|sigma_l|psi>
+        # over the targets t with N - m emitters up; where l is down in t the
+        # gather lands on a zero amplitude of psi, which has N - m + 1 up.
         state = fully_excited(n)
-        for i, theta2 in enumerate(grid):
-            det = DetectorList.coincident(theta1, order_m, float(theta2))
-            values[i] = g_m_exact(geometry, det, state)
+        for _ in range(order_m - 1):
+            state = apply_field(geometry, theta1, state)
+        targets = np.flatnonzero(np.bitwise_count(np.arange(1 << n)) == n - order_m)
+        bits = 1 << np.arange(n)
+        root = np.empty((0, n), dtype=complex)
+        for start in range(0, targets.size, EXACT_ROWS):
+            phi = state.amplitudes[targets[start:start + EXACT_ROWS, None] | bits]
+            root = np.linalg.qr(np.vstack([root, phi]), mode="r")
+        # root^H root is the coherence matrix <sigma_l psi|sigma_l' psi>, so
+        # G(theta2) = |root c|^2 with c_l = exp(-i * (l * kd) * sin(theta2)).
+        emitter_kd = np.arange(1, n + 1) * geometry.kd
+        for start in range(0, grid.size, EXACT_ROWS):
+            block = slice(start, start + EXACT_ROWS)
+            image = root @ np.exp(-1j * (emitter_kd[:, None] * np.sin(grid[block])))
+            values[block] = (image.real**2 + image.imag**2).sum(axis=0)
     elif method == "pathsum":
         check_path_budget(grid.size * pathsum_terms(n, order_m))
         # Stacks of at most PATH_CHUNK angles, so that no scan holds m copies of its grid.

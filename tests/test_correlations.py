@@ -592,6 +592,30 @@ class TestScanAndSummary:
         assert calls == [2, 2, 2, 1]
         np.testing.assert_allclose(values, whole, rtol=1e-13, atol=0)
 
+    def test_an_exact_scan_in_several_blocks_keeps_its_values(self, monkeypatch):
+        # At EXACT_ROWS = 3 the 70 targets of (8, 4) take 24 QR steps, the last of
+        # one row, and 7 points take three blocks, the last of one point; at 1
+        # every row and every point is a block of its own.
+        g = EmitterGeometry(8, KD)
+        grid = np.linspace(-1.5, 1.5, 7)
+        whole = scan_curve(g, 4, 0.3141, grid, "exact").values
+        for rows in (1, 3):
+            monkeypatch.setattr(dickesim.correlations, "EXACT_ROWS", rows)
+            values = scan_curve(g, 4, 0.3141, grid, "exact").values
+            np.testing.assert_allclose(values, whole, rtol=1e-13, atol=0)
+
+    def test_exact_scan_memory_is_bounded_by_its_blocks(self):
+        # A 10^6-point scan holds its grid, its phases and its values, 8 MB each,
+        # and blocks of EXACT_ROWS points: not 64 MB of four phase factors a point.
+        tracemalloc.start()
+        try:
+            grid = np.linspace(-math.pi / 2, math.pi / 2, 10**6)
+            scan_curve(EmitterGeometry(4, KD), 2, 0.0, grid, "exact")
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 4 * 8_000_000
+
     def test_every_route_is_nonnegative_without_a_clamp(self):
         # scan_curve returns the routes' raw values: none may be negative or -0.0,
         # at the fringe zeros x = 2 pi k / N (zeros of G at m = N) or at random points.
@@ -613,6 +637,12 @@ class TestScanAndSummary:
                               g_m_closed_coincident(n, m, x), functional[i])
                     for value in values:
                         assert value >= 0 and math.copysign(1.0, value) == 1.0, (n, m, i)
+                # The exact scan takes each theta1's fringe zeros as one grid, and
+                # each random pair as a grid of one point.
+                grids = [(t1, [t2 for s, t2 in pairs[:-8] if s == t1]) for t1 in (0.0, 0.3141, -1.2)]
+                for theta1, grid in grids + [(t1, [t2]) for t1, t2 in pairs[-8:]]:
+                    for value in scan_curve(g, m, theta1, np.unique(grid), "exact").values:
+                        assert value >= 0 and math.copysign(1.0, value) == 1.0, (n, m, theta1)
 
     def test_curve_symmetric_at_theta1_zero(self):
         g = EmitterGeometry(5, KD)

@@ -5,6 +5,7 @@ import numpy as np
 from hypothesis import given, settings, strategies as st
 
 from dickesim import (
+    DetectorList,
     EmitterGeometry,
     StateVector,
     apply_field,
@@ -14,8 +15,10 @@ from dickesim import (
     g_m_exact,
     g_m_pathsum,
     intensity,
+    scan_curve,
     two_atom_delta_state,
 )
+from dickesim.verify import REL_TOL, rel_dev
 
 angles = st.floats(
     min_value=-math.pi / 2, max_value=math.pi / 2, allow_nan=False, allow_infinity=False
@@ -123,6 +126,25 @@ def test_exact_equals_pathsum(n, m, kd, t1, t2):
     b = g_m_pathsum(g, [det])[0]
     scale = max(abs(a), abs(b))
     assert abs(a - b) <= max(1e-9 * scale, 1e-12)
+
+
+@given(
+    nm=st.integers(1, 8).flatmap(lambda n: st.tuples(st.just(n), st.integers(1, n))),
+    kd=kds,
+    t1=st.one_of(st.just(0.0), angles),
+    grid=st.lists(angles, min_size=1, max_size=6, unique=True),
+)
+@settings(max_examples=80, deadline=None)
+def test_exact_scan_equals_g_m_exact_at_each_point(nm, kd, t1, grid):
+    # The scan prepares its state once and reads every point from the
+    # coherence matrix; g_m_exact applies all m fields at each point.
+    n, m = nm
+    g = EmitterGeometry(n, kd)
+    grid = sorted(grid)
+    values = scan_curve(g, m, t1, grid, "exact").values
+    for theta2, value in zip(grid, values):
+        reference = g_m_exact(g, DetectorList.coincident(t1, m, theta2), fully_excited(n))
+        assert rel_dev(value, reference) <= REL_TOL, (theta2, value, reference)
 
 
 @given(n=st.integers(2, 10), m=st.integers(1, 10), x=phases)
