@@ -20,7 +20,6 @@ visibility, the angular average, and the two-atom g2.
 """
 from __future__ import annotations
 
-import functools
 import itertools
 import math
 from dataclasses import dataclass
@@ -130,11 +129,11 @@ def g_m_pathsum(geometry: EmitterGeometry, detectors) -> np.ndarray:
     else:
         groups = _equal_columns(stack)
         columns = [group[0] for group in groups]
-        multiplicities = tuple(map(len, groups))
-        form = lambda phases: _pathsum_symmetric(phases, multiplicities)
+        coef, weight = _sign_classes(tuple(map(len, groups)))
+        form = lambda phases: _pathsum_symmetric(phases, coef, weight)
         # A point holds its phases, v and conj(v), and e, w and the update of
         # its class pairs (see _pathsum_symmetric).
-        classes = len(_sign_classes(multiplicities)[1])
+        classes = len(weight)
         per_point = n * (len(groups) + 2 * classes) + (2 * m + 2) * classes**2
     size = max(1, PATH_CHUNK // per_point)
     values = np.empty(points)
@@ -164,9 +163,6 @@ def _glynn_signs(k: np.ndarray, m: int) -> np.ndarray:
     return 1 - 2 * ((2 * k[:, None] >> np.arange(m)) & 1)
 
 
-# A few multiplicity patterns recur across calls (m distinct angles, or m - 1
-# coincident and one more); the arrays are read-only, as every caller shares them.
-@functools.lru_cache(maxsize=32)
 def _sign_classes(multiplicities: tuple[int, ...]) -> tuple[np.ndarray, np.ndarray]:
     """Glynn's sign vectors on groups of equal columns, by their minus signs in each group.
 
@@ -177,7 +173,8 @@ def _sign_classes(multiplicities: tuple[int, ...]) -> tuple[np.ndarray, np.ndarr
     mu'_0 = mu_0 - 1, mu'_g = mu_g otherwise.  Returns the coefficients
     (classes, groups) and the weights (classes,).  k_0 varies fastest, then
     k_1, and so on: with every multiplicity 1 the classes are _glynn_signs'
-    vectors in its order, with weight prod(delta).
+    vectors in its order, with weight prod(delta).  g_m_pathsum takes them
+    once a call and passes them to every block of _pathsum_symmetric.
     """
     mu = np.array(multiplicities)
     top = mu - (np.arange(len(mu)) == 0)
@@ -186,9 +183,7 @@ def _sign_classes(multiplicities: tuple[int, ...]) -> tuple[np.ndarray, np.ndarr
     binomials = np.array([[math.comb(t, j) for j in range(top.max() + 1)] for t in top.tolist()],
                          dtype=float)
     weight = binomials[np.arange(len(mu)), k].prod(axis=1) * (1 - 2 * (k.sum(axis=1) & 1))
-    coef = mu - 2 * k
-    coef.flags.writeable = weight.flags.writeable = False
-    return coef, weight
+    return mu - 2 * k, weight
 
 
 def _pathsum_subsets(phases: np.ndarray) -> np.ndarray:
@@ -217,21 +212,22 @@ def _pathsum_subsets(phases: np.ndarray) -> np.ndarray:
     return total
 
 
-def _pathsum_symmetric(phases: np.ndarray, multiplicities) -> np.ndarray:
+def _pathsum_symmetric(phases: np.ndarray, coef: np.ndarray, weight: np.ndarray) -> np.ndarray:
     """The same sum with no subset formed: Glynn's formula on the transpose, at P points.
 
     phases is (P, N, G): at each of P points, the phase factors of G distinct
-    detector angles, angle g repeated multiplicities[g] times, m in all.
+    detector angles, angle g repeated multiplicities[g] times, m in all, and
+    coef, weight are _sign_classes(multiplicities).
     perm(A_S) = 2^(1-m) sum_delta prod(delta) prod_{l in S} v[l, delta], with
-    v = A @ delta^T.  Sign vectors of one class (_sign_classes) share v, so
+    v = A @ delta^T.  Sign vectors of one class share v, so
     the sum over S of |perm(A_S)|^2 is 4^(1-m) sum_{c, c'} weight_c weight_c'
     e_m(w), where w_l = v[l, c] conj(v[l, c']) and e_m is the m-th
     elementary symmetric polynomial.  e_0..e_m take one recurrence step per
     emitter, over blocks of class rows against every class column.
     """
     points, n, _ = phases.shape
-    m = sum(multiplicities)
-    coef, weight = _sign_classes(multiplicities)
+    # Class 0 has no minus signs: its coefficients are the multiplicities.
+    m = int(coef[0].sum())
     # v[l, p, c], emitter first, so that a step of the recurrence takes v[r] of each point.
     v = (phases @ coef.T).transpose(1, 0, 2)
     v_conj = v.conj()[:, :, None, :]
@@ -355,9 +351,9 @@ def scan_curve(
 
     The closed form takes the whole grid in one call, the path sum (P, m)
     stacks of at most PATH_CHUNK angles, whose m - 1 equal theta1 columns it
-    groups, the functional route blocks of points.  The exact engine
-    applies the m - 1 fields at theta1 once, then reads blocks of
-    EXACT_ROWS points from the coherence matrix of the state they leave.
+    groups, the functional route one (P, 2) stack per block of points.  The
+    exact engine applies the m - 1 fields at theta1 once, then reads blocks
+    of EXACT_ROWS points from the coherence matrix of the state they leave.
     No route can return a negative value; non-finite inputs and float
     overflow raise ValueError.
     """
@@ -411,12 +407,12 @@ def scan_curve(
             values[start:start + size] = g_m_pathsum(geometry, stack)
     else:  # functional
         box = (order_m - 1, 1)
-        angles = np.stack([np.full_like(grid, theta1), grid], axis=-1)
         # Blocks of points holding at most BLOCK_COEFFICIENTS coefficients, updates / N per point.
         size = max(1, BLOCK_COEFFICIENTS * n // functional_updates(n, box))
         for start in range(0, grid.size, size):
-            block = slice(start, start + size)
-            values[block] = extract_gm(build_functional(geometry, angles[block], box), box)
+            block = grid[start:start + size, None]
+            angles = np.hstack([np.full_like(block, theta1), block])
+            values[start:start + size] = extract_gm(build_functional(geometry, angles, box), box)
 
     if not np.isfinite(values).all():
         raise ValueError(f"method {method} produced a non-finite value (float overflow)")

@@ -55,9 +55,9 @@ class FormalPolynomial:
     """The characteristic functional on a box of powers.
 
     levels[d] lists the box's exponent tuples of degree d in ascending
-    order.  factors[d] is (..., rows, len(levels[d])), the leading axes those
-    of the angle stack, and factors[d]^H factors[d] is (-1)^d times the
-    coefficients of f^a fstar^b for a, b in levels[d].
+    order.  factors[d] is (P, rows, len(levels[d])), one square root for each
+    of the P sets of angles, and factors[d][p]^H factors[d][p] is (-1)^d
+    times set p's coefficients of f^a fstar^b for a, b in levels[d].
     """
 
     box: tuple[int, ...]
@@ -65,8 +65,8 @@ class FormalPolynomial:
     factors: tuple[np.ndarray, ...]
 
     @cached_property
-    def terms(self) -> Mapping[tuple[Exponents, Exponents], complex]:
-        """((a_1..a_K), (b_1..b_K)) -> coefficient, each Gram block B as (B + B^H)/2."""
+    def terms(self) -> Mapping[tuple[Exponents, Exponents], np.ndarray]:
+        """((a_1..a_K), (b_1..b_K)) -> (P,) coefficients, each Gram block B as (B + B^H)/2."""
         out = {}
         for d, (codes, r) in enumerate(zip(self.levels, self.factors)):
             gram = np.swapaxes(r.conj(), -1, -2) @ r
@@ -77,7 +77,7 @@ class FormalPolynomial:
 
 
 def build_functional(geometry: EmitterGeometry, angles, box: Sequence[int]) -> FormalPolynomial:
-    """Square-root build over K detector angles, (K,) or a (..., K) stack.
+    """Square-root build at each of P sets of K detector angles, a (P, K) stack.
 
     box holds the largest power of each f_l to be read.  Emitter j sets R_d
     to the R factor of [R_d ; R_{d-1} T_j], for d from high to low, where
@@ -98,8 +98,8 @@ def build_functional(geometry: EmitterGeometry, angles, box: Sequence[int]) -> F
             f"{updates} coefficient updates per point, over the bound of {MAX_FUNCTIONAL_TERMS}"
         )
     angles = np.asarray(angles, dtype=float)
-    if angles.ndim < 1 or angles.shape[-1] != k:
-        raise ValueError(f"expected angles of shape (..., {k}), got {angles.shape}")
+    if angles.ndim != 2 or angles.shape[1] != k:
+        raise ValueError(f"expected angles of shape (P, K), got {angles.shape}")
     check_finite_angles(angles)
     sines = np.sin(angles)
 
@@ -114,25 +114,25 @@ def build_functional(geometry: EmitterGeometry, angles, box: Sequence[int]) -> F
     shifts = [(low[:, None] + unit[:, None, None] == high).all(-1).reshape(k, -1).astype(float)
               for low, high in zip(codes, codes[1:])]
 
-    lead = sines.shape[:-1]
-    factors = [np.ones(lead + (1, 1), dtype=complex)]
-    factors += [np.zeros(lead + (0, len(c)), dtype=complex) for c in codes[1:]]
+    points = len(sines)
+    factors = [np.ones((points, 1, 1), dtype=complex)]
+    factors += [np.zeros((points, 0, len(c)), dtype=complex) for c in codes[1:]]
     for j in range(1, n + 1):
         cbar = np.exp(1j * (j * geometry.kd) * sines)
         # Degrees above j are still empty.
         for d in range(min(j, len(codes) - 1), 0, -1):
-            t = (cbar @ shifts[d - 1]).reshape(lead + (len(codes[d - 1]), len(codes[d])))
+            t = (cbar @ shifts[d - 1]).reshape(points, len(codes[d - 1]), len(codes[d]))
             stack = np.concatenate([factors[d], factors[d - 1] @ t], axis=-2)
             factors[d] = np.linalg.qr(stack, mode="r")
     return FormalPolynomial(box, tuple(levels), tuple(factors))
 
 
-def extract_gm(poly: FormalPolynomial, multiplicities: Sequence[int]):
-    """Read off G(m) for detector l repeated multiplicities[l] times.
+def extract_gm(poly: FormalPolynomial, multiplicities: Sequence[int]) -> np.ndarray:
+    """Read off G(m) for detector l repeated multiplicities[l] times, a (P,) array.
 
-    G = (prod mult!)^2 ||R_m[:, mults]||^2, the factorials from the merged
-    repeated derivatives; more detections than emitters give 0.  A float for
-    one set of angles, an array over a stack.
+    G = (prod mult!)^2 ||R_m[:, mults]||^2 at each of the P sets of angles,
+    the factorials from the merged repeated derivatives; more detections
+    than emitters give zeros.
     """
     mults = tuple(multiplicities)
     for x in mults:
@@ -148,11 +148,9 @@ def extract_gm(poly: FormalPolynomial, multiplicities: Sequence[int]):
         raise ValueError(f"multiplicities {mults} lie outside the box {poly.box}")
 
     if m >= len(poly.levels):
-        value = np.zeros(poly.factors[0].shape[:-2])
-    else:
-        column = poly.factors[m][..., poly.levels[m].index(mults)]
-        column = float(prod(map(factorial, mults))) * column
-        # Past the float range a value is inf, left for the caller to report.
-        with np.errstate(over="ignore"):
-            value = (column.real**2 + column.imag**2).sum(axis=-1)
-    return value if value.ndim else float(value)
+        return np.zeros(len(poly.factors[0]))
+    column = poly.factors[m][:, :, poly.levels[m].index(mults)]
+    column = float(prod(map(factorial, mults))) * column
+    # Past the float range a value is inf, left for the caller to report.
+    with np.errstate(over="ignore"):
+        return (column.real**2 + column.imag**2).sum(axis=1)

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import DetectorList, EmitterGeometry, dicke_state, fully_excited, intensity
+from .core import DetectorList, EmitterGeometry, apply_field, dicke_state, fully_excited, intensity
 from .correlations import (
     check_path_budget,
     g_m_closed_coincident,
@@ -104,9 +104,11 @@ def coincident_oracle_suite(
         for i, (theta1, theta2) in enumerate(pairs.tolist()):
             x = geometry.kd * (math.sin(theta1) - math.sin(theta2))
             for m in range(1, n + 1):
-                det = DetectorList.coincident(theta1, m, theta2)
+                # psi = E(theta1)^(m-1) psi0 is one field on the last m's psi, and
+                # the exact G(m) is ||E(theta2) psi||^2.
+                psi = apply_field(geometry, theta1, psi) if m > 1 else state
                 values = {
-                    "exact": g_m_exact(geometry, det, state),
+                    "exact": apply_field(geometry, theta2, psi).norm_sq(),
                     "pathsum": float(pathsum[m - 1][i]),
                     "closed": g_m_closed_coincident(n, m, x),
                     "functional": float(functional[m - 1][i]),
@@ -177,10 +179,14 @@ def functional_invariant_suite(
                   for m1 in range(m + 1) for m2 in range(m - m1 + 1)]
         functional = {mults: extract_gm(poly, mults) for mults in orders}
         for i, angles in enumerate(triples.tolist()):
+            # Each tuple's image is one field on the image of the tuple before
+            # it: the same detectors less the last one, of one order lower.
+            images = {(0, 0, 0): state}
             for mults, values in functional.items():
-                det = [t for t, k in zip(angles, mults) for _ in range(k)]
-                b_val = g_m_exact(geometry, det, state)
-                yield rel_dev(float(values[i]), b_val), f"N={n} mults={mults}"
+                last = max(l for l in range(3) if mults[l])
+                before = mults[:last] + (mults[last] - 1,) + mults[last + 1:]
+                images[mults] = apply_field(geometry, angles[last], images[before])
+                yield rel_dev(float(values[i]), images[mults].norm_sq()), f"N={n} mults={mults}"
 
 
 def run_all(
@@ -194,12 +200,12 @@ def run_all(
     n_dicke = max(n_max, 10)
     EmitterGeometry(n_dicke, kd)
     # The cross-method and coincident suites each take one stack of n_tuples
-    # path sums at every 2 <= N <= n_max, 1 <= m <= N.
-    check_path_budget(
-        2 * n_tuples * sum(
-            pathsum_terms(n, m) for n in range(2, n_max + 1) for m in range(1, n + 1)
-        )
-    )
+    # path sums at every 2 <= N <= n_max, 1 <= m <= N.  The running total is
+    # checked after each N, so a large n_max stops at the first N over the budget.
+    total = 0
+    for n in range(2, n_max + 1):
+        total += 2 * n_tuples * sum(pathsum_terms(n, m) for m in range(1, n + 1))
+        check_path_budget(total)
     return [
         cross_method_suite(n_max=n_max, n_tuples=n_tuples, kd=kd, seed=seed),
         coincident_oracle_suite(n_max=n_max, n_tuples=n_tuples, kd=kd, seed=seed + 1),

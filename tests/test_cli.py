@@ -116,6 +116,20 @@ def test_verify_checks_the_budget_before_any_suite(capsys):
     assert peak < 1 << 20
 
 
+def test_verify_stops_counting_at_the_first_n_over_the_budget(monkeypatch, capsys):
+    # The running total passes the budget at N = 14, whatever --n-atoms is above it.
+    terms, calls = dickesim.verify.pathsum_terms, []
+
+    def counted(n, m):
+        calls.append((n, m))
+        return terms(n, m)
+
+    monkeypatch.setattr(dickesim.verify, "pathsum_terms", counted)
+    assert run(["--verify", "--n-atoms", "100000"]) == 2
+    assert "149157000 path-sum terms exceed the budget" in capsys.readouterr().err
+    assert calls == [(n, m) for n in range(2, 15) for m in range(1, n + 1)]
+
+
 @pytest.mark.parametrize("tuples", ["0", "-3"])
 def test_verify_rejects_fewer_than_one_tuple(tuples, capsys):
     assert run(["--verify", "--n-atoms", "4", "--tuples", tuples]) == 2

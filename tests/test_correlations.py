@@ -29,6 +29,7 @@ from dickesim import (
 from dickesim.correlations import (
     _pathsum_subsets,
     _pathsum_symmetric,
+    _sign_classes,
     interference_kernel,
     pathsum_terms,
 )
@@ -132,7 +133,8 @@ class TestPathsum:
     @pytest.mark.parametrize(
         "form",
         [lambda phases: _pathsum_subsets(phases[None])[0],
-         lambda phases: _pathsum_symmetric(phases[None], (1,) * phases.shape[1])[0]],
+         lambda phases: _pathsum_symmetric(
+             phases[None], *_sign_classes((1,) * phases.shape[1]))[0]],
         ids=["subsets", "symmetric"],
     )
     @pytest.mark.parametrize(
@@ -189,7 +191,7 @@ class TestPathsum:
         angles = tuple(float(distinct[labels[j]]) for j in rng.permutation(len(labels)))
         assert [angles.count(float(a)) for a in distinct] == list(pattern)
         reference = literal_pathsum(g, angles)
-        symmetric = _pathsum_symmetric(phase_matrix(g, distinct)[None], pattern)
+        symmetric = _pathsum_symmetric(phase_matrix(g, distinct)[None], *_sign_classes(pattern))
         assert symmetric.shape == (1,)
         for value in (g_m_pathsum(g, [angles])[0], symmetric[0]):
             assert abs(value - reference) <= 1e-12 * max(1.0, reference)
@@ -445,7 +447,7 @@ def test_closed_form_matches_the_functional_next_to_a_side_peak():
     theta1, n, m = -1.5706485006530568, 20, 10
     geometry = EmitterGeometry(n, KD)
     closed = g_m_closed_coincident(n, m, KD * math.sin(theta1))
-    functional = extract_gm(build_functional(geometry, [theta1, 0.0], (m - 1, 1)), (m - 1, 1))
+    functional = extract_gm(build_functional(geometry, [[theta1, 0.0]], (m - 1, 1)), (m - 1, 1))[0]
     assert rel_dev(closed, functional) <= 1e-12
 
 
