@@ -111,9 +111,6 @@ class DetectorList:
             raise ValueError(f"order must be >= 1, got {order_m}")
         return cls((theta1,) * (order_m - 1) + (theta2,))
 
-    def __len__(self) -> int:
-        return len(self.angles)
-
     def __iter__(self):
         return iter(self.angles)
 

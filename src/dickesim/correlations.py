@@ -259,8 +259,7 @@ def interference_kernel(n_emitters: int, phase_x):
     x = np.asarray(phase_x, dtype=float)
     x = x - 2.0 * math.pi * np.rint(x / (2.0 * math.pi))
     half = np.sin(x / 2.0)
-    # A single emitter is its own limit everywhere: ones of the phase's shape.
-    singular = (np.abs(half) < np.finfo(float).tiny) | (n_emitters == 1)
+    singular = np.abs(half) < np.finfo(float).tiny
     ratio = np.sin(n_emitters * x / 2.0) / np.where(singular, 1.0, half)
     kernel = np.where(singular, float(n_emitters) ** 2, ratio * ratio)
     return kernel if kernel.ndim else float(kernel)
@@ -284,7 +283,7 @@ def _fringe(n: int, m: int, phase):
     """Unit-mean fringe shared by G(m) and the Dicke intensity, elementwise."""
     kernel = interference_kernel(n, phase)
     if n == 1:
-        return kernel  # ones
+        return kernel**0  # ones of the phase's shape, at a NaN phase too
     return (n - m) / (n - 1) + (m - 1) * kernel / (n * (n - 1))
 
 

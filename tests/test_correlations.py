@@ -27,6 +27,7 @@ from dickesim import (
     visibility_formula,
 )
 from dickesim.correlations import (
+    METHODS,
     _pathsum_subsets,
     _pathsum_symmetric,
     _sign_classes,
@@ -618,6 +619,35 @@ class TestScanAndSummary:
             tracemalloc.stop()
         assert peak < 4 * 8_000_000
 
+    @pytest.mark.parametrize(
+        "n, m", [(12, 2), (4, 2), (5, 3)], ids=["symmetric", "subsets-4", "subsets-5"]
+    )
+    def test_pathsum_scan_memory_is_bounded_by_its_blocks(self, n, m):
+        # One stack of 1e5 points: each block of points holds at most PATH_CHUNK
+        # complex entries (16 MiB), beside the scan's own arrays of 1e5 floats.
+        # (12, 2) runs the symmetric form, (4, 2) and (5, 3) the subset walk.
+        tracemalloc.start()
+        try:
+            grid = np.linspace(-math.pi / 2, math.pi / 2, 10**5)
+            scan_curve(EmitterGeometry(n, KD), m, 0.0, grid, "pathsum")
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 24 << 20
+
+    @pytest.mark.parametrize("theta1", [0.0, 0.3141])
+    def test_every_route_reports_the_closed_scans_phases(self, theta1):
+        # CI holds each reference scan to the closed form on the scan's own
+        # phase column: that is the closed scan only while every route reports
+        # the same phases, and the closed scan is the closed form on them.
+        g = EmitterGeometry(6, KD)
+        grid = np.linspace(-math.pi / 2, math.pi / 2, 37)
+        closed = scan_curve(g, 3, theta1, grid, "closed")
+        assert closed.values.tobytes() == g_m_closed_coincident(6, 3, closed.phase_x).tobytes()
+        for method in METHODS:
+            phase_x = scan_curve(g, 3, theta1, grid, method).phase_x
+            assert phase_x.tobytes() == closed.phase_x.tobytes(), method
+
     def test_every_route_is_nonnegative_without_a_clamp(self):
         # scan_curve returns the routes' raw values: none may be negative or -0.0,
         # at the fringe zeros x = 2 pi k / N (zeros of G at m = N) or at random points.
@@ -728,4 +758,4 @@ def test_every_angle_input_gives_the_same_value(route):
 def test_coincident_detector_helper():
     det = DetectorList.coincident(0.1, 4, 0.9)
     assert det.angles == (0.1, 0.1, 0.1, 0.9)
-    assert len(DetectorList.coincident(0.0, 1, 0.5)) == 1
+    assert DetectorList.coincident(0.0, 1, 0.5).angles == (0.5,)
