@@ -292,6 +292,25 @@ def test_dense_cap_checked_before_allocation(capsys):
     assert peak < 1 << 20
 
 
+@pytest.mark.parametrize(
+    "n, m", [(12, 2), (4, 2), (5, 3)], ids=["symmetric", "subsets-4", "subsets-5"]
+)
+def test_pathsum_scan_memory_is_bounded_by_its_blocks(n, m):
+    # One stack of 1e5 points: each block of points holds at most PATH_CHUNK
+    # complex entries (16 MiB), beside the scan's own arrays of 1e5 floats.
+    # (12, 2) runs the symmetric form, (4, 2) and (5, 3) the subset walk.
+    # The scan is bounded directly: the CSV writer's streaming is pinned by
+    # test_csv_scan_is_written_row_by_row.
+    tracemalloc.start()
+    try:
+        grid = np.linspace(-math.pi / 2, math.pi / 2, 10**5)
+        scan_curve(EmitterGeometry(n, 2 * math.pi), m, 0.0, grid, "pathsum")
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 24 << 20
+
+
 def test_refused_pathsum_scan_builds_no_stack(capsys):
     # (20, 20) takes 2^19 subset terms a point, so 1e6 points are refused before
     # any stack is built: the peak is the 8 MB grid and a few arrays like it,

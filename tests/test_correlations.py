@@ -619,22 +619,6 @@ class TestScanAndSummary:
             tracemalloc.stop()
         assert peak < 4 * 8_000_000
 
-    @pytest.mark.parametrize(
-        "n, m", [(12, 2), (4, 2), (5, 3)], ids=["symmetric", "subsets-4", "subsets-5"]
-    )
-    def test_pathsum_scan_memory_is_bounded_by_its_blocks(self, n, m):
-        # One stack of 1e5 points: each block of points holds at most PATH_CHUNK
-        # complex entries (16 MiB), beside the scan's own arrays of 1e5 floats.
-        # (12, 2) runs the symmetric form, (4, 2) and (5, 3) the subset walk.
-        tracemalloc.start()
-        try:
-            grid = np.linspace(-math.pi / 2, math.pi / 2, 10**5)
-            scan_curve(EmitterGeometry(n, KD), m, 0.0, grid, "pathsum")
-            _, peak = tracemalloc.get_traced_memory()
-        finally:
-            tracemalloc.stop()
-        assert peak < 24 << 20
-
     @pytest.mark.parametrize("theta1", [0.0, 0.3141])
     def test_every_route_reports_the_closed_scans_phases(self, theta1):
         # CI holds each reference scan to the closed form on the scan's own
