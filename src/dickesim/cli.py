@@ -10,6 +10,7 @@ from __future__ import annotations
 import argparse
 import json
 import math
+import re
 import sys
 from dataclasses import asdict
 
@@ -26,6 +27,8 @@ MAX_THETA2_STEPS = 10**7
 # Options whose value may be a negative float in any notation.  argparse takes
 # a value such as -1e-05, -inf or -nan for an option: only -1 or -.5 look negative.
 FLOAT_OPTIONS = ("--kd", "--theta1", "--theta2-min", "--theta2-max")
+# Rows of a scan that each format renders with one % and writes with one call.
+WRITE_ROWS = 4096
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -60,27 +63,46 @@ def _write_csv(fh, config: dict, curve) -> None:
     fh.write(f"# dickesim {__version__}\n")
     fh.write("# config " + json.dumps(config, sort_keys=True) + "\n")
     fh.write("theta2_rad,phase_x,value,method\n")
-    # Memoryviews yield Python floats, which format faster than NumPy scalars.
-    for t, x, v in zip(*map(memoryview, (curve.theta2_grid, curve.phase_x, curve.values))):
-        fh.write(f"{t:.17g},{x:.17g},{v:.17g},{curve.method}\n")
+    # "%.17g" % x and f"{x:.17g}" give the same bytes for a Python float.
+    row = "%.17g,%.17g,%.17g," + curve.method + "\n"
+    columns = (curve.theta2_grid, curve.phase_x, curve.values)
+    for start in range(0, curve.values.size, WRITE_ROWS):
+        chunk = np.column_stack([column[start:start + WRITE_ROWS] for column in columns])
+        fh.write(row * len(chunk) % tuple(chunk.ravel().tolist()))
+
+
+def _write_json_list(fh, column) -> None:
+    """Write column as json.dump with indent=2 writes a list two levels deep."""
+    fh.write("[")
+    for start in range(0, column.size, WRITE_ROWS):
+        chunk = column[start:start + WRITE_ROWS].tolist()
+        # %r is float.__repr__, which json writes for a finite float; scan_curve
+        # refuses a non-finite grid or value, and EmitterGeometry bounds phase_x.
+        text = ",\n      %r" * len(chunk) % tuple(chunk)
+        fh.write(text if start else text[1:])
+    fh.write("\n    ]")
 
 
 def _write_json(fh, config: dict, curve) -> None:
     summary = summarize(curve)
+    columns = {"theta2_rad": curve.theta2_grid, "phase_x": curve.phase_x, "value": curve.values}
     payload = {
         "tool": "dickesim",
         "version": __version__,
         "config": config,
-        "curve": {
-            "theta2_rad": curve.theta2_grid.tolist(),
-            "phase_x": curve.phase_x.tolist(),
-            "value": curve.values.tolist(),
-            "method": curve.method,
-        },
+        # Each list is a placeholder holding a NUL, which no option value can.
+        "curve": {key: f"\0{key}\0" for key in columns} | {"method": curve.method},
         # An undefined value (first_zero_phase with no interior minimum) is null.
         "summary": {k: None if math.isnan(v) else v for k, v in asdict(summary).items()},
     }
-    json.dump(payload, fh, sort_keys=True, indent=2, allow_nan=False)
+    # Rendered whole before anything is written, so that a refusal writes nothing.
+    text = json.dumps(payload, sort_keys=True, indent=2, allow_nan=False)
+    # Text and list names alternate: text, key, text, key, text, key, text.
+    pieces = re.split(r'"\\u0000(\w+)\\u0000"', text)
+    fh.write(pieces[0])
+    for key, tail in zip(pieces[1::2], pieces[2::2]):
+        _write_json_list(fh, columns[key])
+        fh.write(tail)
     fh.write("\n")
 
 

@@ -1,15 +1,19 @@
+import io
 import json
 import math
 import tracemalloc
+from dataclasses import asdict
 
 import numpy as np
 import pytest
 
 import dickesim.cli
+import dickesim.correlations
 import dickesim.verify
-from dickesim.cli import main
+from dickesim import __version__
+from dickesim.cli import WRITE_ROWS, main
 from dickesim.core import EmitterGeometry
-from dickesim.correlations import METHODS, scan_curve
+from dickesim.correlations import METHODS, CorrelationCurve, scan_curve, summarize
 
 
 def run(args):
@@ -311,6 +315,21 @@ def test_pathsum_scan_memory_is_bounded_by_its_blocks(n, m):
     assert peak < 24 << 20
 
 
+def test_a_pathsum_scan_holds_one_stack_of_points_at_a_time(monkeypatch):
+    # At PATH_CHUNK = 2^14 a (4, 2) scan of 1e5 points passes stacks of 8,192
+    # points, 131 kB each.  The scan's phases and values take 1.6 MB; one
+    # (1e5, 2) stack of the whole grid would add 1.6 MB, and its theta1 column 0.8 MB.
+    monkeypatch.setattr(dickesim.correlations, "PATH_CHUNK", 2**14)
+    grid = np.linspace(-math.pi / 2, math.pi / 2, 10**5)
+    tracemalloc.start()
+    try:
+        scan_curve(EmitterGeometry(4, 2 * math.pi), 2, 0.0, grid, "pathsum")
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 3_000_000
+
+
 def test_refused_pathsum_scan_builds_no_stack(capsys):
     # (20, 20) takes 2^19 subset terms a point, so 1e6 points are refused before
     # any stack is built: the peak is the 8 MB grid and a few arrays like it,
@@ -470,6 +489,86 @@ def test_csv_rows_match_numpy_scalar_formatting(tmp_path):
     rows = [f"{t:.17g},{x:.17g},{v:.17g},functional"
             for t, x, v in zip(curve.theta2_grid, curve.phase_x, curve.values)]
     assert out.read_text(encoding="utf-8").splitlines()[3:] == rows
+
+
+# Floats the writers must render as the reference does: both zeros, the
+# smallest subnormal, the largest float and values in exponent form.
+SPECIAL_FLOATS = [0.0, -0.0, 5e-324, 1.7976931348623157e308, 1e-32, 2.5e-7, 1e16, 6.02214076e23]
+# Option-like text that holds the characters of the JSON writer's placeholders.
+ODD_CONFIG = {"label": '"[]" and \\u0000value\\u0000', "list": "[]", "kd": 1e300}
+
+
+def hand_curve(size: int) -> CorrelationCurve:
+    rng = np.random.default_rng(size)
+    special = np.resize(SPECIAL_FLOATS, size)
+    magnitudes = 10.0 ** rng.uniform(-300, 300, size)
+    return CorrelationCurve(
+        theta2_grid=special * rng.choice([-1.0, 1.0], size),
+        phase_x=rng.permutation(special),
+        values=np.where(rng.random(size) < 0.5, magnitudes, special),
+        method="closed",
+    )
+
+
+def reference_csv(config: dict, curve: CorrelationCurve) -> str:
+    """The writer's text one f-string a row."""
+    rows = [f"{t:.17g},{x:.17g},{v:.17g},{curve.method}\n"
+            for t, x, v in zip(curve.theta2_grid.tolist(), curve.phase_x.tolist(),
+                               curve.values.tolist())]
+    return (f"# dickesim {__version__}\n# config {json.dumps(config, sort_keys=True)}\n"
+            "theta2_rad,phase_x,value,method\n" + "".join(rows))
+
+
+def reference_json(config: dict, curve: CorrelationCurve) -> str:
+    """The writer's text through json, the curve as lists."""
+    summary = {k: None if math.isnan(v) else v for k, v in asdict(summarize(curve)).items()}
+    payload = {
+        "tool": "dickesim",
+        "version": __version__,
+        "config": config,
+        "curve": {
+            "theta2_rad": curve.theta2_grid.tolist(),
+            "phase_x": curve.phase_x.tolist(),
+            "value": curve.values.tolist(),
+            "method": curve.method,
+        },
+        "summary": summary,
+    }
+    return json.dumps(payload, sort_keys=True, indent=2) + "\n"
+
+
+@pytest.mark.parametrize(
+    "size", [2, WRITE_ROWS - 1, WRITE_ROWS, WRITE_ROWS + 1, 3 * WRITE_ROWS + 1],
+)
+@pytest.mark.parametrize(
+    "write, reference",
+    [(dickesim.cli._write_csv, reference_csv), (dickesim.cli._write_json, reference_json)],
+    ids=["csv", "json"],
+)
+def test_writers_render_the_reference_text_a_chunk_at_a_time(write, reference, size):
+    curve = hand_curve(size)
+    fh = io.StringIO()
+    write(fh, ODD_CONFIG, curve)
+    got, want = fh.getvalue(), reference(ODD_CONFIG, curve)
+    # The first differing line, not a diff of two texts of up to 1 MB.
+    lines = zip(got.splitlines(keepends=True), want.splitlines(keepends=True))
+    assert next((pair for pair in lines if pair[0] != pair[1]), None) is None
+    assert len(got) == len(want)
+
+
+def test_json_writer_holds_no_list_of_the_curve(tmp_path):
+    # Three lists of 1e5 Python floats take 9.6 MB; summarize's sorted copies
+    # and masks, freed before the curve is written, take 5.7 MB.
+    grid = np.linspace(-math.pi / 2, math.pi / 2, 10**5)
+    curve = scan_curve(EmitterGeometry(12, 2 * math.pi), 6, 0.0, grid, "closed")
+    with open(tmp_path / "scan.json", "w", encoding="utf-8") as fh:
+        tracemalloc.start()
+        try:
+            dickesim.cli._write_json(fh, {}, curve)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+    assert peak < 8_000_000
 
 
 def test_csv_scan_computes_no_summary(capsys, monkeypatch):
