@@ -430,14 +430,26 @@ def summarize(curve: CorrelationCurve) -> CurveSummary:
     them to match the analytic laws the grid must cover one full fringe
     period of the phase variable.
     """
-    order = np.argsort(curve.phase_x, kind="stable")
-    x = curve.phase_x[order]
-    v = curve.values[order]
+    # In the order of a stable argsort, taken only where the phases are not
+    # monotone: a grid inside [-pi/2, pi/2], the default, gives them strictly
+    # decreasing, read as reversed views.
+    x, v = curve.phase_x, curve.values
+    if (x[1:] < x[:-1]).all():
+        x, v = x[::-1], v[::-1]
+    elif not (x[1:] >= x[:-1]).all():
+        order = np.argsort(x, kind="stable")
+        x, v = x[order], v[order]
 
     vmax = float(v.max())
     vmin = float(v.min())
-    # On halves (exact short of subnormals): a sum of two values may overflow.
-    visibility = 0.0 if vmax + vmin == 0.0 else (vmax - vmin) / 2 / (vmax / 2 + vmin / 2)
+    # On halves only where the sum of two values overflows: halving is exact
+    # for normal floats, so both forms give the same bits there, but a half of
+    # a subnormal loses its low bit and the sum of two halves may be zero.
+    total = vmax + vmin
+    if math.isinf(total):
+        visibility = (vmax - vmin) / 2 / (vmax / 2 + vmin / 2)
+    else:
+        visibility = 0.0 if total == 0.0 else (vmax - vmin) / total
 
     # First interior point at positive phase that is a local minimum below the peak.
     inner = v[1:-1]

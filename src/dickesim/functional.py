@@ -7,8 +7,9 @@ Gram matrix sum_{|S|=d} U_S[a] conj(U_S[b]) over emitter subsets S, with
 U_S = prod_{j in S} u_j.  Factors only raise exponents, so the coefficients
 up to a box of powers need only those inside it.  The build keeps a square
 root R_d of each degree's Gram block and adds an emitter by one QR
-factorization per degree.  G is then a sum of squared moduli, read without
-a cancelling sum: Householder QR is backward stable.
+factorization per degree, made by one stacked QR call per shape of stack.
+G is then a sum of squared moduli, read without a cancelling sum:
+Householder QR is backward stable.
 """
 from __future__ import annotations
 
@@ -79,11 +80,12 @@ class FormalPolynomial:
 def build_functional(geometry: EmitterGeometry, angles, box: Sequence[int]) -> FormalPolynomial:
     """Square-root build at each of P sets of K detector angles, a (P, K) stack.
 
-    box holds the largest power of each f_l to be read.  Emitter j sets R_d
-    to the R factor of [R_d ; R_{d-1} T_j], for d from high to low, where
-    T_j multiplies by sum_l conj(c_{l,j}) f_l on the box; conjugated, so that
-    the Gram blocks hold U_S[a] conj(U_S[b]).  The update count (against
-    MAX_FUNCTIONAL_TERMS) and the angles are checked before anything is allocated.
+    box holds the largest power of each f_l to be read.  Emitter j sets every
+    R_d to the R factor of [R_d ; R_{d-1} T_j], each stack read from the
+    factors before emitter j, where T_j multiplies by sum_l conj(c_{l,j}) f_l
+    on the box; conjugated, so that the Gram blocks hold U_S[a] conj(U_S[b]).
+    The update count (against MAX_FUNCTIONAL_TERMS) and the angles are
+    checked before anything is allocated.
     """
     box = tuple(box)
     for power in box:
@@ -119,11 +121,30 @@ def build_functional(geometry: EmitterGeometry, angles, box: Sequence[int]) -> F
     factors += [np.zeros((points, 0, len(c)), dtype=complex) for c in codes[1:]]
     for j in range(1, n + 1):
         cbar = np.exp(1j * (j * geometry.kd) * sines)
-        # Degrees above j are still empty.
+        # Degrees above j are still empty.  The degrees are grouped by the
+        # shape of their stacks, each group factored by one stacked QR, which
+        # runs LAPACK on each matrix as a call of its own would.
+        groups = {}
         for d in range(min(j, len(codes) - 1), 0, -1):
-            t = (cbar @ shifts[d - 1]).reshape(points, len(codes[d - 1]), len(codes[d]))
-            stack = np.concatenate([factors[d], factors[d - 1] @ t], axis=-2)
-            factors[d] = np.linalg.qr(stack, mode="r")
+            shape = (factors[d].shape[1] + factors[d - 1].shape[1], len(codes[d]))
+            groups.setdefault(shape, []).append(d)
+        stacks = {}
+        for shape, degrees in groups.items():
+            # Degree g of a group fills rows g * P to (g + 1) * P of its stack;
+            # a lone degree keeps the stack concatenate makes.
+            out = None
+            if len(degrees) > 1:
+                out = np.empty((len(degrees) * points, *shape), dtype=complex)
+            for g, d in enumerate(degrees):
+                t = (cbar @ shifts[d - 1]).reshape(points, len(codes[d - 1]), len(codes[d]))
+                rows = None if out is None else out[g * points:(g + 1) * points]
+                stack = np.concatenate([factors[d], factors[d - 1] @ t], axis=-2, out=rows)
+            stacks[shape] = stack if out is None else out
+        # Only now, with every stack read from the previous emitter's factors.
+        for shape, degrees in groups.items():
+            r = np.linalg.qr(stacks[shape], mode="r")
+            for g, d in enumerate(degrees):
+                factors[d] = r[g * points:(g + 1) * points]
     return FormalPolynomial(box, tuple(levels), tuple(factors))
 
 

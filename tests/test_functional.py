@@ -1,4 +1,5 @@
 import cmath
+import itertools
 import math
 import re
 import warnings
@@ -121,6 +122,76 @@ def test_integer_keyed_build_matches_reference_product(n, kd, detectors):
     tol = 1e-13 * max(abs(v) for v in expected.values())
     for key in inside:
         assert abs(poly.terms[key][0] - expected[key]) <= tol, key
+
+
+def _reference_build(geometry, angles, box):
+    """The build one QR call per degree, kept as the reference for its bits."""
+    k, sines = len(box), np.sin(angles)
+    levels = [((0,) * k,)]
+    for _ in range(min(sum(box), geometry.n_emitters)):
+        up = {a[:l] + (a[l] + 1,) + a[l + 1:]
+              for a in levels[-1] for l in range(k) if a[l] < box[l]}
+        levels.append(tuple(sorted(up)))
+    codes, unit = [np.array(c) for c in levels], np.eye(k, dtype=int)
+    shifts = [(low[:, None] + unit[:, None, None] == high).all(-1).reshape(k, -1).astype(float)
+              for low, high in zip(codes, codes[1:])]
+    points = len(sines)
+    factors = [np.ones((points, 1, 1), dtype=complex)]
+    factors += [np.zeros((points, 0, len(c)), dtype=complex) for c in codes[1:]]
+    for j in range(1, geometry.n_emitters + 1):
+        cbar = np.exp(1j * (j * geometry.kd) * sines)
+        for d in range(min(j, len(codes) - 1), 0, -1):
+            t = (cbar @ shifts[d - 1]).reshape(points, len(codes[d - 1]), len(codes[d]))
+            stack = np.concatenate([factors[d], factors[d - 1] @ t], axis=-2)
+            factors[d] = np.linalg.qr(stack, mode="r")
+    return factors
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    n=st.integers(1, 8),
+    kd=st.floats(0.1, 12.0),
+    box=st.lists(st.integers(0, 5), min_size=1, max_size=4).map(tuple),
+    data=st.data(),
+)
+def test_build_keeps_the_bits_of_one_qr_call_per_degree(n, kd, box, data):
+    # Grouped by stack shape, the degrees share stacked QR calls; each matrix
+    # still gets a LAPACK call of its own, so no bit may move.
+    points = data.draw(st.integers(1, 5))
+    angle = st.floats(-math.pi / 2, math.pi / 2)
+    angles = np.array(data.draw(st.lists(st.lists(angle, min_size=len(box), max_size=len(box)),
+                                         min_size=points, max_size=points)))
+    g = EmitterGeometry(n, kd)
+    got = build_functional(g, angles, box).factors
+    want = _reference_build(g, angles, box)
+    assert len(got) == len(want)
+    for r, ref in zip(got, want):
+        assert r.shape == ref.shape and r.tobytes() == ref.tobytes()
+
+
+def test_build_makes_one_qr_call_per_stack_shape_per_emitter(monkeypatch):
+    n, box, points = 20, (9, 1), 3
+    # Emitter j stacks [R_d ; R_{d-1} T_j] for d = min(j, 10)..1; R_d has
+    # min(rows_d + rows_{d-1}, cols_d) rows after, with cols_d tuples of degree d.
+    cols = [len({a for a in itertools.product(range(10), range(2)) if sum(a) == d})
+            for d in range(11)]
+    rows, expected = [1] + [0] * 10, 0
+    for j in range(1, n + 1):
+        degrees = range(min(j, 10), 0, -1)
+        expected += len({(rows[d] + rows[d - 1], cols[d]) for d in degrees})
+        for d in degrees:
+            rows[d] = min(rows[d] + rows[d - 1], cols[d])
+    assert expected == 56  # against 155 degree updates, one QR call each
+    calls = []
+
+    def counted(a, mode="reduced"):
+        calls.append(a.shape)
+        return qr(a, mode)
+
+    qr = np.linalg.qr
+    monkeypatch.setattr(np.linalg, "qr", counted)
+    build_functional(EmitterGeometry(n, KD), np.full((points, 2), 0.3), box)
+    assert len(calls) == expected
 
 
 def test_terms_are_the_balanced_pairs_inside_the_box():
