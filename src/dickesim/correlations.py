@@ -458,10 +458,15 @@ def summarize(curve: CorrelationCurve) -> CurveSummary:
     first_zero = float(x[1 + hits[0]]) if hits.size else math.nan
 
     if x.size > 1 and x[-1] > x[0]:
-        # On the abscissa normalised to [0, 1], so that no product of a phase
-        # step and a value overflows; the span itself is at most 2kd.  Taken on
-        # halves and doubled, as the visibility.
-        angular_mean = 2.0 * float(np.trapezoid(0.5 * v, (x - x[0]) / (x[-1] - x[0])))
+        # The trapezoid rule on the abscissa normalised to [0, 1], so that no
+        # product of a phase step and a value overflows; the span itself is at
+        # most 2kd.  Halved once, after the sum, and on halved values only
+        # where the sum of two values overflows, as the visibility: a half of
+        # a subnormal loses its low bit, and on normal floats both forms give
+        # the same bits.
+        steps = np.diff((x - x[0]) / (x[-1] - x[0]))
+        scale = 2.0 if math.isinf(2 * max(vmax, -vmin)) else 1.0
+        angular_mean = float((steps * (v[1:] / scale + v[:-1] / scale)).sum()) / 2 * scale
     else:
         angular_mean = float(v.mean())
 

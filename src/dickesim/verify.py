@@ -16,11 +16,12 @@ import numpy as np
 
 from .core import DetectorList, EmitterGeometry, apply_field, dicke_state, fully_excited, intensity
 from .correlations import (
+    METHODS,
     check_path_budget,
-    g_m_closed_coincident,
     g_m_exact,
     g_m_pathsum,
     pathsum_terms,
+    scan_curve,
 )
 from .functional import build_functional, extract_gm
 from .projection import cascade_subtract
@@ -93,29 +94,19 @@ def coincident_oracle_suite(
     kd: float = 2 * math.pi,
     seed: int = 1,
 ):
-    """Exact, path-sum, closed-form, and polynomial routes at coincident detectors."""
+    """The four scan engines at m - 1 coincident detectors, on one theta2 grid per (N, m)."""
     rng = np.random.default_rng(seed)
-    for n, geometry, state in _chains(n_max, kd):
-        pairs = rng.uniform(-math.pi / 2, math.pi / 2, size=(n_tuples, 2))
-        poly = build_functional(geometry, pairs, (n - 1, 1))
-        functional = [extract_gm(poly, (m - 1, 1)) for m in range(1, n + 1)]
-        # One stack per m: m - 1 columns of theta1, then theta2.
-        pathsum = [g_m_pathsum(geometry, pairs[:, [0] * (m - 1) + [1]]) for m in range(1, n + 1)]
-        for i, (theta1, theta2) in enumerate(pairs.tolist()):
-            x = geometry.kd * (math.sin(theta1) - math.sin(theta2))
-            for m in range(1, n + 1):
-                # psi = E(theta1)^(m-1) psi0 is one field on the last m's psi, and
-                # the exact G(m) is ||E(theta2) psi||^2.
-                psi = apply_field(geometry, theta1, psi) if m > 1 else state
-                values = {
-                    "exact": apply_field(geometry, theta2, psi).norm_sq(),
-                    "pathsum": float(pathsum[m - 1][i]),
-                    "closed": g_m_closed_coincident(n, m, x),
-                    "functional": float(functional[m - 1][i]),
-                }
-                for (p, a), (q, b) in itertools.combinations(values.items(), 2):
+    for n, geometry, _ in _chains(n_max, kd):
+        for m in range(1, n + 1):
+            theta1 = rng.uniform(-math.pi / 2, math.pi / 2)
+            # n_tuples draws, sorted as scan_curve takes them; a tied draw is kept once.
+            grid = np.unique(rng.uniform(-math.pi / 2, math.pi / 2, size=n_tuples))
+            curves = {method: scan_curve(geometry, m, theta1, grid, method).values.tolist()
+                      for method in METHODS}
+            for (p, a), (q, b) in itertools.combinations(curves.items(), 2):
+                for theta2, x, y in zip(grid.tolist(), a, b):
                     label = f"N={n} m={m} {p}/{q} theta1={theta1:.4f} theta2={theta2:.4f}"
-                    yield rel_dev(a, b), label
+                    yield rel_dev(x, y), label
 
 
 @_suite("conditioning factorization")

@@ -561,6 +561,15 @@ class TestScanAndSummary:
             curve = CorrelationCurve(np.arange(3.0), phases, np.array(values), "closed")
             assert summarize(curve).visibility == visibility
 
+    @pytest.mark.parametrize("value", [5e-324, 1e-310, 1e308])
+    @pytest.mark.parametrize("points", [2, 3])
+    def test_mean_of_a_constant_curve_is_its_value(self, value, points):
+        # A half of a subnormal loses its low bit, and the sum of two values
+        # of 1e308 overflows: the mean is taken on halves only there.
+        phases = np.linspace(-1.0, 1.0, points)
+        curve = CorrelationCurve(np.arange(float(points)), phases, np.full(points, value), "closed")
+        assert summarize(curve).angular_mean == value
+
     def test_grid_validation(self):
         g = EmitterGeometry(3, KD)
         with pytest.raises(ValueError):

@@ -3,6 +3,7 @@
 Each test first runs the suite as is at a small size, then plants a fault in
 one route, as the suite's module sees it, and runs the suite again.
 """
+import inspect
 import math
 
 import numpy as np
@@ -41,8 +42,8 @@ CASES = [
     (lambda: cross_method_suite(n_max=4, n_tuples=3),
      dickesim.verify, "g_m_pathsum", lambda geometry, stack: np.full(len(stack), math.nan)),
     (lambda: coincident_oracle_suite(n_max=4, n_tuples=5),
-     dickesim.verify, "g_m_closed_coincident",
-     scaled(dickesim.verify.g_m_closed_coincident)),
+     dickesim.correlations, "g_m_closed_coincident",
+     scaled(dickesim.correlations.g_m_closed_coincident)),
     (lambda: factorization_suite(n_max=4, n_tuples=2),
      dickesim.verify, "g_m_exact", scaled(dickesim.verify.g_m_exact)),
     (lambda: factorization_suite(n_max=4, n_tuples=2),
@@ -67,6 +68,71 @@ def test_planted_fault_fails_the_suite(suite, module, route, faulty, monkeypatch
     result = suite()
     assert not result.passed
     assert result.worst_case != "none"
+
+
+def mutant(fn, old, new):
+    """fn recompiled with the one occurrence of old in its source replaced by new.
+
+    The copy reads its module's globals, so a constant patched there reaches it.
+    """
+    source = inspect.getsource(fn)
+    assert source.count(old) == 1
+    namespace = {}
+    exec(compile(source.replace(old, new), inspect.getsourcefile(fn), "exec"),
+         fn.__globals__, namespace)
+    return namespace[fn.__name__]
+
+
+# One fault per blocked branch of scan_curve, with the branch's block constant
+# made small, so that the suite's 5-point grids span several blocks.
+SCAN_FAULTS = [
+    # The exact scan's last partial block of coherence rows never reaches the QR.
+    ("EXACT_ROWS", 4,
+     "for start in range(0, targets.size, EXACT_ROWS):",
+     "for start in range(0, targets.size // EXACT_ROWS * EXACT_ROWS, EXACT_ROWS):"),
+    # Each one-point path-sum block after the first starts one point early.
+    ("PATH_CHUNK", 1,
+     "block = grid[start:start + size, None]\n            stack",
+     "block = grid[max(start - 1, 0):max(start - 1, 0) + size, None]\n            stack"),
+    # The functional scan's second block reuses the first block's angles.
+    ("BLOCK_COEFFICIENTS", 1,
+     "block = grid[start:start + size, None]\n            angles",
+     "block = grid[(first := 0 if start == size else start):first + size, None]\n            angles"),
+]
+
+
+@pytest.mark.parametrize("constant, value, old, new", SCAN_FAULTS,
+                         ids=["exact-qr-block", "pathsum-block-start", "functional-block"])
+def test_planted_scan_fault_fails_the_coincident_suite(constant, value, old, new, monkeypatch):
+    monkeypatch.setattr(dickesim.correlations, constant, value)
+    suite = lambda: coincident_oracle_suite(n_max=4, n_tuples=5)
+    clean = suite()
+    assert clean.passed, clean
+    faulty = mutant(dickesim.correlations.scan_curve, old, new)
+    monkeypatch.setattr(dickesim.verify, "scan_curve", faulty)
+    result = suite()
+    assert not result.passed
+    assert result.worst_case != "none"
+
+
+def test_coincident_suite_runs_each_scan_engine_once_per_n_and_m(monkeypatch):
+    scan, calls = dickesim.verify.scan_curve, []
+
+    def counting(geometry, order_m, theta1, grid, method):
+        calls.append((geometry.n_emitters, order_m, method))
+        assert len(grid) == 5
+        return scan(geometry, order_m, theta1, grid, method)
+
+    def refused(*args, **kwargs):
+        raise AssertionError("the coincident suite computes every value through scan_curve")
+
+    monkeypatch.setattr(dickesim.verify, "scan_curve", counting)
+    for route in ("build_functional", "extract_gm", "g_m_pathsum", "g_m_exact", "apply_field"):
+        monkeypatch.setattr(dickesim.verify, route, refused)
+    assert coincident_oracle_suite(n_max=4, n_tuples=5).passed
+    # 4 methods at each of 2 + 3 + 4 (N, m): 36 calls.
+    assert calls == [(n, m, method) for n in range(2, 5) for m in range(1, n + 1)
+                     for method in dickesim.correlations.METHODS]
 
 
 def test_functional_suite_builds_once_per_n(monkeypatch):
