@@ -29,6 +29,13 @@ def _check_count(name: str, value) -> None:
         raise ValueError(f"{name} must be an integer, got {value!r}")
 
 
+def _real(name: str, value) -> float:
+    # np.float32 is a Real, and read as a Python float; an array is refused.
+    if not isinstance(value, numbers.Real):
+        raise ValueError(f"{name} must be a real number, got {value!r}")
+    return float(value)
+
+
 def check_order(n_emitters: int, order_m: int) -> None:
     """Reject a count that is not an integer, or a correlation order outside 1..N."""
     _check_count("emitter count", n_emitters)
@@ -68,6 +75,7 @@ class EmitterGeometry:
         _check_count("emitter count", self.n_emitters)
         if self.n_emitters < 1:
             raise ValueError(f"need at least one emitter, got {self.n_emitters}")
+        object.__setattr__(self, "kd", _real("kd", self.kd))
         if not (self.kd > 0 and math.isfinite(self.kd)):
             raise ValueError(f"kd must be positive and finite, got {self.kd}")
         # No route forms a phase beyond N * 2kd: emitter phases are at most N * kd,
@@ -96,7 +104,7 @@ class DetectorList:
     angles: tuple[float, ...]
 
     def __post_init__(self):
-        angles = tuple(float(a) for a in self.angles)
+        angles = tuple(_real("detector angle", a) for a in self.angles)
         if not angles:
             raise ValueError("need at least one detector")
         if not all(map(math.isfinite, angles)):

@@ -121,29 +121,19 @@ def build_functional(geometry: EmitterGeometry, angles, box: Sequence[int]) -> F
     factors += [np.zeros((points, 0, len(c)), dtype=complex) for c in codes[1:]]
     for j in range(1, n + 1):
         cbar = np.exp(1j * (j * geometry.kd) * sines)
-        # Degrees above j are still empty.  The degrees are grouped by the
-        # shape of their stacks, each group factored by one stacked QR, which
-        # runs LAPACK on each matrix as a call of its own would.
+        # Degrees above j are still empty.  Every stack is read from the
+        # factors before emitter j; then the stacks of each shape are factored
+        # by one stacked QR, which runs LAPACK on each matrix as a call of its
+        # own would.  A lone stack is passed as it is.
         groups = {}
         for d in range(min(j, len(codes) - 1), 0, -1):
-            shape = (factors[d].shape[1] + factors[d - 1].shape[1], len(codes[d]))
-            groups.setdefault(shape, []).append(d)
-        stacks = {}
-        for shape, degrees in groups.items():
-            # Degree g of a group fills rows g * P to (g + 1) * P of its stack;
-            # a lone degree keeps the stack concatenate makes.
-            out = None
-            if len(degrees) > 1:
-                out = np.empty((len(degrees) * points, *shape), dtype=complex)
-            for g, d in enumerate(degrees):
-                t = (cbar @ shifts[d - 1]).reshape(points, len(codes[d - 1]), len(codes[d]))
-                rows = None if out is None else out[g * points:(g + 1) * points]
-                stack = np.concatenate([factors[d], factors[d - 1] @ t], axis=-2, out=rows)
-            stacks[shape] = stack if out is None else out
-        # Only now, with every stack read from the previous emitter's factors.
-        for shape, degrees in groups.items():
-            r = np.linalg.qr(stacks[shape], mode="r")
-            for g, d in enumerate(degrees):
+            t = (cbar @ shifts[d - 1]).reshape(points, len(codes[d - 1]), len(codes[d]))
+            stack = np.concatenate([factors[d], factors[d - 1] @ t], axis=-2)
+            groups.setdefault(stack.shape, []).append((d, stack))
+        for group in groups.values():
+            r = np.linalg.qr(group[0][1] if len(group) == 1
+                             else np.concatenate([s for _, s in group]), mode="r")
+            for g, (d, _) in enumerate(group):
                 factors[d] = r[g * points:(g + 1) * points]
     return FormalPolynomial(box, tuple(levels), tuple(factors))
 

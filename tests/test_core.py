@@ -17,11 +17,15 @@ from dickesim import (
     dicke_state,
     fully_excited,
     g_m_closed_coincident,
+    g_m_exact,
+    g_m_pathsum,
     intensity,
+    scan_curve,
     two_atom_delta_state,
     visibility_formula,
 )
 from dickesim.core import check_order
+from dickesim.verify import REL_TOL, rel_dev
 
 KD = 2 * math.pi
 
@@ -63,6 +67,39 @@ def test_geometry_rejects_kd_whose_largest_phase_overflows():
     # N * kd = 1.2e308 fits a float, but 2 * N * kd does not.
     with pytest.raises(ValueError, match="overflows"):
         EmitterGeometry(12, 1e307)
+
+
+def test_geometry_reads_a_numpy_scalar_kd_as_a_python_float():
+    # Kept as given, np.float32 put the dense engine's phases in single
+    # precision: g_m_exact then stood 1.3e-7 from the path sum, and the exact
+    # scan 4.3e-8 from the closed form, both over REL_TOL.
+    g = EmitterGeometry(6, np.float32(1.5))
+    assert type(g.kd) is float and g.kd == 1.5
+    assert type(g.phase_of(3, 0.3)) is float
+    det = (0.3, 0.3, 1.0)
+    assert rel_dev(g_m_exact(g, det, fully_excited(6)), g_m_pathsum(g, [det])[0]) <= REL_TOL
+    grid = np.linspace(-math.pi / 2, math.pi / 2, 31)
+    exact = scan_curve(g, 3, 0.3, grid, "exact").values
+    closed = scan_curve(g, 3, 0.3, grid, "closed").values
+    assert max(map(rel_dev, exact.tolist(), closed.tolist())) <= REL_TOL
+
+
+@pytest.mark.parametrize("bad", ["1.5", 1.5 + 0j, np.array([1.5]), np.array(1.5), None])
+def test_geometry_refuses_a_kd_that_is_not_a_real_number(bad):
+    with pytest.raises(ValueError, match=r"^kd must be a real number, got "):
+        EmitterGeometry(2, bad)
+
+
+def test_detector_list_refuses_an_element_that_is_not_a_real_scalar():
+    # g_m_exact reads one tuple; a (P, m) stack, as g_m_pathsum takes, is refused
+    # by name, not by a TypeError from float().
+    g = EmitterGeometry(2, KD)
+    named = r"^detector angle must be a real number, got array\(\[0\.1, 0\.2\]\)$"
+    with pytest.raises(ValueError, match=named):
+        g_m_exact(g, np.array([[0.1, 0.2]]), fully_excited(2))
+    with pytest.raises(ValueError, match=r"^detector angle must be a real number, got 0\.1j$"):
+        DetectorList((0.1, 0.1j))
+    assert DetectorList((np.float32(0.5), 1, np.int64(0))).angles == (0.5, 1.0, 0.0)
 
 
 @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])

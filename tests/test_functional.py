@@ -169,19 +169,23 @@ def test_build_keeps_the_bits_of_one_qr_call_per_degree(n, kd, box, data):
         assert r.shape == ref.shape and r.tobytes() == ref.tobytes()
 
 
-def test_build_makes_one_qr_call_per_stack_shape_per_emitter(monkeypatch):
-    n, box, points = 20, (9, 1), 3
-    # Emitter j stacks [R_d ; R_{d-1} T_j] for d = min(j, 10)..1; R_d has
+def _assert_one_qr_call_per_stack_shape(monkeypatch, n, box, expected, updates):
+    points, top = 3, min(sum(box), n)
+    # Emitter j stacks [R_d ; R_{d-1} T_j] for d = min(j, top)..1; R_d has
     # min(rows_d + rows_{d-1}, cols_d) rows after, with cols_d tuples of degree d.
-    cols = [len({a for a in itertools.product(range(10), range(2)) if sum(a) == d})
-            for d in range(11)]
-    rows, expected = [1] + [0] * 10, 0
+    inside = list(itertools.product(*(range(b + 1) for b in box)))
+    cols = [sum(sum(a) == d for a in inside) for d in range(top + 1)]
+    rows, shapes, degree_updates = [1] + [0] * top, 0, 0
     for j in range(1, n + 1):
-        degrees = range(min(j, 10), 0, -1)
-        expected += len({(rows[d] + rows[d - 1], cols[d]) for d in degrees})
+        degrees = range(min(j, top), 0, -1)
+        shapes += len({(rows[d] + rows[d - 1], cols[d]) for d in degrees})
+        degree_updates += len(degrees)
         for d in degrees:
             rows[d] = min(rows[d] + rows[d - 1], cols[d])
-    assert expected == 56  # against 155 degree updates, one QR call each
+    assert (shapes, degree_updates) == (expected, updates)
+    g = EmitterGeometry(n, KD)
+    angles = np.full((points, len(box)), 0.3) + 0.2 * np.arange(len(box))
+    want = _reference_build(g, angles, box)
     calls = []
 
     def counted(a, mode="reduced"):
@@ -190,8 +194,21 @@ def test_build_makes_one_qr_call_per_stack_shape_per_emitter(monkeypatch):
 
     qr = np.linalg.qr
     monkeypatch.setattr(np.linalg, "qr", counted)
-    build_functional(EmitterGeometry(n, KD), np.full((points, 2), 0.3), box)
+    got = build_functional(g, angles, box).factors
     assert len(calls) == expected
+    # A group of degrees is factored only after every stack of the emitter is read.
+    assert [r.tobytes() for r in got] == [r.tobytes() for r in want]
+
+
+def test_build_makes_one_qr_call_per_stack_shape_per_emitter(monkeypatch):
+    # 56 calls against 155 degree updates, one QR call each.
+    _assert_one_qr_call_per_stack_shape(monkeypatch, 20, (9, 1), 56, 155)
+
+
+@pytest.mark.parametrize("n, box, expected", [(8, (8, 8, 8), 36), (12, (3, 2, 1), 57), (30, (1, 1), 59)])
+def test_build_makes_one_qr_call_per_degree_where_no_stack_shares_a_shape(monkeypatch, n, box, expected):
+    # Each stack of an emitter is alone in its shape, and is factored as it is.
+    _assert_one_qr_call_per_stack_shape(monkeypatch, n, box, expected, expected)
 
 
 def test_terms_are_the_balanced_pairs_inside_the_box():
