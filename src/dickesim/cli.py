@@ -127,7 +127,11 @@ def run_scan(args) -> int:
     # and the two that only --verify reads.
     config = {k: v for k, v in vars(args).items() if k not in ("out", "verify", "tuples")}
     geometry = EmitterGeometry(args.n_emitters, args.kd)
-    grid = np.linspace(args.theta2_min, args.theta2_max, args.theta2_steps)
+    # Near the float maximum np.linspace's step product may overflow past the
+    # last point, which it then sets to the end point; scan_curve refuses a
+    # non-finite grid.
+    with np.errstate(over="ignore"):
+        grid = np.linspace(args.theta2_min, args.theta2_max, args.theta2_steps)
     curve = scan_curve(geometry, args.order_m, args.theta1_rad, grid, args.method)
     # Both formats stream into the open destination; only JSON carries a summary.
     write = _write_csv if args.output_format == "csv" else _write_json

@@ -48,9 +48,14 @@ PATH_BUDGET = 1e8
 # angles one stack of a pathsum scan holds.
 PATH_CHUNK = 2**20
 
-# Rows of phi per QR step of an exact scan, and points per block of its
+# Rows of phi per leaf of an exact scan's TSQR, and points per block of its
 # phases: small, so that LAPACK's work buffers and the blocks stay small.
+# A leaf is EXACT_ROWS rows of N complex entries, 32 KiB at N = 16.
 EXACT_ROWS = 128
+# Leaves per stacked QR call of that TSQR.  At N = 16 a batch holds 256 KiB of
+# phi and a 128 KiB index, and the root's traced peak at (16, 8) is 0.6 MiB,
+# under the scan's 2.5 MiB of state vectors; it doubles at 16 leaves.
+EXACT_LEAVES = 8
 
 METHODS = ("exact", "pathsum", "closed", "functional")
 
@@ -351,8 +356,12 @@ def scan_curve(
     The closed form takes the whole grid in one call, the path sum (P, m)
     stacks of at most PATH_CHUNK angles, whose m - 1 equal theta1 columns it
     groups, the functional route one (P, 2) stack per block of points.  The
-    exact engine applies the m - 1 fields at theta1 once, then reads blocks
-    of EXACT_ROWS points from the coherence matrix of the state they leave.
+    exact engine applies the m - 1 fields at theta1 once, takes a square root
+    of the coherence matrix of the state they leave by a streaming TSQR, and
+    reads blocks of EXACT_ROWS points from it.  The TSQR's leaves are
+    EXACT_ROWS coherence rows, and one stacked QR call factors a batch of
+    EXACT_LEAVES leaves, 256 KiB of rows and a 128 KiB index at N = 16; one
+    more merges their factors into the root.
     No route can return a negative value; non-finite inputs and float
     overflow raise ValueError.
     """
@@ -384,11 +393,22 @@ def scan_curve(
         for _ in range(order_m - 1):
             state = apply_field(geometry, theta1, state)
         targets = np.flatnonzero(np.bitwise_count(np.arange(1 << n)) == n - order_m)
-        bits = 1 << np.arange(n)
+        # A TSQR (Demmel, Grigori, Hoemmen and Langou, SIAM J. Sci. Comput. 34,
+        # A206 (2012)): one stacked call factors a batch of EXACT_LEAVES leaves,
+        # and one more merges the running root, their R factors and, in the
+        # last batch, the rows past the last full leaf.
+        amps, bits = state.amplitudes, 1 << np.arange(n)
+        batch = EXACT_ROWS * EXACT_LEAVES
+        full = targets.size - targets.size % EXACT_ROWS
         root = np.empty((0, n), dtype=complex)
-        for start in range(0, targets.size, EXACT_ROWS):
-            phi = state.amplitudes[targets[start:start + EXACT_ROWS, None] | bits]
-            root = np.linalg.qr(np.vstack([root, phi]), mode="r")
+        for start in range(0, targets.size, batch):
+            leaves = targets[start:min(start + batch, full)].reshape(-1, EXACT_ROWS, 1)
+            tail = targets[full:start + batch, None]
+            merged = [root]
+            if leaves.size:
+                merged.append(np.linalg.qr(amps[leaves | bits], mode="r").reshape(-1, n))
+            merged.append(amps[tail | bits])
+            root = np.linalg.qr(np.vstack(merged), mode="r")
         # root^H root is the coherence matrix <sigma_l psi|sigma_l' psi>, so
         # G(theta2) = |root c|^2 with c_l = exp(-i * (l * kd) * sin(theta2)).
         emitter_kd = np.arange(1, n + 1) * geometry.kd

@@ -2,6 +2,7 @@ import io
 import json
 import math
 import tracemalloc
+import warnings
 from dataclasses import asdict
 
 import numpy as np
@@ -270,6 +271,25 @@ def test_overflowing_theta2_span_exits_2_with_one_line(capsys):
     assert err == (
         "error: --theta2-max minus --theta2-min overflows a float, got -1e+308 and 1e+308\n"
     )
+
+
+@pytest.mark.parametrize("extra, code", [([], 0), (["--order", "9"], 2)], ids=["scan", "refused"])
+def test_a_theta2_span_near_the_float_maximum_warns_nothing(extra, code, capsys):
+    # The span is finite, but np.linspace's step product overflows at its last
+    # point, which it then sets to the end point: the grid is finite.
+    top = 1.7976931348623157e308
+    args = ["--theta2-min", "-3.75", "--theta2-max", repr(top), "--theta2-steps", "7"]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert run(args + extra) == code
+    out, err = capsys.readouterr()
+    if code:
+        assert out == "" and err == "error: order must lie in 1..2, got 9\n"
+        return
+    assert err == ""
+    grid = [float(line.split(",")[0]) for line in out.splitlines()[3:]]
+    assert len(grid) == 7 and grid[0] == -3.75 and grid[-1] == top
+    assert all(map(math.isfinite, grid))
 
 
 def test_run_config_is_filled_from_the_parsed_options(capsys):

@@ -614,16 +614,45 @@ class TestScanAndSummary:
         np.testing.assert_allclose(values, whole, rtol=1e-13, atol=0)
 
     def test_an_exact_scan_in_several_blocks_keeps_its_values(self, monkeypatch):
-        # At EXACT_ROWS = 3 the 70 targets of (8, 4) take 24 QR steps, the last of
-        # one row, and 7 points take three blocks, the last of one point; at 1
-        # every row and every point is a block of its own.
+        # The targets of (8, 4), (8, 5) and (8, 8) are 70, 56 and 1 rows, in
+        # leaves of EXACT_ROWS rows, batches of EXACT_LEAVES = 8 leaves and a
+        # tail past the last full leaf; 7 points take blocks of EXACT_ROWS points.
+        cases = [
+            (4, 128),  # below one leaf: the tail alone
+            (4, 7),    # a multiple of a leaf: a batch and two leaves, no tail
+            (5, 7),    # a multiple of a batch: one batch, no tail
+            (5, 1),    # seven batches of one-row leaves, and one-point blocks
+            (4, 8),    # a batch plus a remainder: a batch, then a tail of 6 rows
+            (4, 3),    # 23 leaves in three batches, a tail of one row, blocks of 3 points
+            (8, 128),  # m = N: one target, the tail alone
+            (8, 1),    # m = N: one target, one leaf
+        ]
         g = EmitterGeometry(8, KD)
         grid = np.linspace(-1.5, 1.5, 7)
-        whole = scan_curve(g, 4, 0.3141, grid, "exact").values
-        for rows in (1, 3):
+        state = fully_excited(8)
+        for m, rows in cases:
             monkeypatch.setattr(dickesim.correlations, "EXACT_ROWS", rows)
-            values = scan_curve(g, 4, 0.3141, grid, "exact").values
-            np.testing.assert_allclose(values, whole, rtol=1e-13, atol=0)
+            values = scan_curve(g, m, 0.3141, grid, "exact").values
+            want = [g_m_exact(g, [0.3141] * (m - 1) + [theta2], state) for theta2 in grid]
+            np.testing.assert_allclose(values, want, rtol=1e-13, atol=0, err_msg=f"m={m}, rows={rows}")
+
+    def test_an_exact_scan_makes_two_qr_calls_per_batch(self, monkeypatch):
+        # (16, 8) has 12,870 targets: 13 batches of at most 1,024 rows, each one
+        # stacked call over its leaves and one merge, 26 calls; one call per
+        # leaf would be 101.
+        calls = []
+        qr = np.linalg.qr
+
+        def counted(a, mode="reduced"):
+            calls.append(a.shape)
+            return qr(a, mode)
+
+        monkeypatch.setattr(np.linalg, "qr", counted)
+        scan_curve(EmitterGeometry(16, KD), 8, 0.3141, np.linspace(-1.5, 1.5, 7), "exact")
+        assert len(calls) == 2 * math.ceil(12870 / 1024) == 26
+        assert calls[:2] == [(8, 128, 16), (8 * 16, 16)]
+        # The last batch: four leaves, then the root, their factors and a tail of 70 rows.
+        assert calls[-2:] == [(4, 128, 16), (16 + 4 * 16 + 70, 16)]
 
     def test_exact_scan_memory_is_bounded_by_its_blocks(self):
         # A 10^6-point scan holds its grid, its phases and its values, 8 MB each,

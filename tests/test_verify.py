@@ -86,10 +86,11 @@ def mutant(fn, old, new):
 # One fault per blocked branch of scan_curve, with the branch's block constant
 # made small, so that the suite's 5-point grids span several blocks.
 SCAN_FAULTS = [
-    # The exact scan's last partial block of coherence rows never reaches the QR.
+    # The exact scan's coherence rows past its last full leaf never reach the
+    # QR: at N = 4, m = 2 that is 2 of the 6 targets.
     ("EXACT_ROWS", 4,
-     "for start in range(0, targets.size, EXACT_ROWS):",
-     "for start in range(0, targets.size // EXACT_ROWS * EXACT_ROWS, EXACT_ROWS):"),
+     "merged.append(amps[tail | bits])",
+     "merged.append(amps[tail[:0] | bits])"),
     # Each one-point path-sum block after the first starts one point early.
     ("PATH_CHUNK", 1,
      "block = grid[start:start + size, None]\n            stack",
