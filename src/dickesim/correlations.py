@@ -1,18 +1,18 @@
 """m-th order intensity correlations by four independent routes.
 
-* g_m_exact     -- operator algebra on the dense state vector; a scan
-                   prepares the detected state once and reads every theta2
-                   from a QR square root of its coherence matrix
+* g_m_exact     -- operator algebra on the dense state vector; its scan,
+                   _scan_exact, prepares the detected state once and reads
+                   every theta2 from a QR square root of its coherence matrix
 * g_m_pathsum   -- coherent sum over which-emitter assignments by Glynn's
                    formula, in whichever of two forms takes fewer terms:
                    one permanent per emitter subset, or the subset sum as
                    an elementary symmetric polynomial, time polynomial in N,
                    over classes of sign vectors on the distinct angles; at
-                   every row of a (P, m) stack, both forms over blocks of rows
-                   (shares no kernel with the engine; serves as the oracle)
+                   every row of a (P, m) stack, both forms over blocks of rows;
+                   its scan is _scan_pathsum (the oracle; shares no kernel with the engine)
 * g_m_closed_coincident -- analytic form for (m-1) coincident detectors,
                    elementwise: a float for a scalar phase, an array for an array
-* functional    -- coefficients of the characteristic functional (functional.py)
+* functional    -- characteristic functional (functional.py), scanned by _scan_functional
 
 plus, beside the closed form, the Dicke-state intensity that m-1 detections
 prepare (both are a count times one unit-mean fringe), the fringe
@@ -30,6 +30,7 @@ from .core import (
     DetectorList,
     EmitterGeometry,
     StateVector,
+    _real,
     apply_field,
     check_finite_angles,
     check_order,
@@ -344,6 +345,71 @@ class CurveSummary:
     angular_mean: float
 
 
+def _scan_exact(geometry: EmitterGeometry, order_m: int, theta1: float, grid) -> np.ndarray:
+    """The exact scan: the m - 1 fields at theta1 applied once, a square root of the
+    coherence matrix of the state they leave by a streaming TSQR, one QR call per
+    EXACT_LEAVES leaves of EXACT_ROWS rows, read in blocks of EXACT_ROWS points."""
+    n = geometry.n_emitters
+    values = np.empty(grid.size, dtype=float)
+    # m - 1 detections at theta1 prepare psi once.  phi[t, l] = <t|sigma_l|psi>
+    # over the targets t with N - m emitters up; where l is down in t the
+    # gather lands on a zero amplitude of psi, which has N - m + 1 up.
+    state = fully_excited(n)
+    for _ in range(order_m - 1):
+        state = apply_field(geometry, theta1, state)
+    targets = np.flatnonzero(np.bitwise_count(np.arange(1 << n)) == n - order_m)
+    # A TSQR (Demmel, Grigori, Hoemmen and Langou, SIAM J. Sci. Comput. 34,
+    # A206 (2012)): one stacked call factors a batch of EXACT_LEAVES leaves,
+    # and one more merges the running root, their R factors and, in the
+    # last batch, the rows past the last full leaf.
+    amps, bits = state.amplitudes, 1 << np.arange(n)
+    batch = EXACT_ROWS * EXACT_LEAVES
+    full = targets.size - targets.size % EXACT_ROWS
+    root = np.empty((0, n), dtype=complex)
+    for start in range(0, targets.size, batch):
+        leaves = targets[start:min(start + batch, full)].reshape(-1, EXACT_ROWS, 1)
+        tail = targets[full:start + batch, None]
+        merged = [root]
+        if leaves.size:
+            merged.append(np.linalg.qr(amps[leaves | bits], mode="r").reshape(-1, n))
+        merged.append(amps[tail | bits])
+        root = np.linalg.qr(np.vstack(merged), mode="r")
+    # root^H root is the coherence matrix <sigma_l psi|sigma_l' psi>, so
+    # G(theta2) = |root c|^2 with c_l = exp(-i * (l * kd) * sin(theta2)).
+    emitter_kd = np.arange(1, n + 1) * geometry.kd
+    for start in range(0, grid.size, EXACT_ROWS):
+        block = slice(start, start + EXACT_ROWS)
+        image = root @ np.exp(-1j * (emitter_kd[:, None] * np.sin(grid[block])))
+        values[block] = (image.real**2 + image.imag**2).sum(axis=0)
+    return values
+
+
+def _scan_pathsum(geometry: EmitterGeometry, order_m: int, theta1: float, grid) -> np.ndarray:
+    """The path-sum scan: (P, m) stacks of at most PATH_CHUNK angles, m - 1 at theta1."""
+    check_path_budget(grid.size * pathsum_terms(geometry.n_emitters, order_m))
+    values = np.empty(grid.size, dtype=float)
+    # Stacks of at most PATH_CHUNK angles, so that no scan holds m copies of its grid.
+    size = max(1, PATH_CHUNK // order_m)
+    for start in range(0, grid.size, size):
+        block = grid[start:start + size, None]
+        stack = np.hstack([np.full((len(block), order_m - 1), theta1), block])
+        values[start:start + size] = g_m_pathsum(geometry, stack)
+    return values
+
+
+def _scan_functional(geometry: EmitterGeometry, order_m: int, theta1: float, grid) -> np.ndarray:
+    """The functional scan: one build on a (P, 2) stack per block of points."""
+    n, box = geometry.n_emitters, (order_m - 1, 1)
+    values = np.empty(grid.size, dtype=float)
+    # Blocks of points holding at most BLOCK_COEFFICIENTS coefficients, updates / N per point.
+    size = max(1, BLOCK_COEFFICIENTS * n // functional_updates(n, box))
+    for start in range(0, grid.size, size):
+        block = grid[start:start + size, None]
+        angles = np.hstack([np.full_like(block, theta1), block])
+        values[start:start + size] = extract_gm(build_functional(geometry, angles, box), box)
+    return values
+
+
 def scan_curve(
     geometry: EmitterGeometry,
     order_m: int,
@@ -353,20 +419,13 @@ def scan_curve(
 ) -> CorrelationCurve:
     """Evaluate G(m) with (m-1) detectors at theta1 over a theta2 grid.
 
-    The closed form takes the whole grid in one call, the path sum (P, m)
-    stacks of at most PATH_CHUNK angles, whose m - 1 equal theta1 columns it
-    groups, the functional route one (P, 2) stack per block of points.  The
-    exact engine applies the m - 1 fields at theta1 once, takes a square root
-    of the coherence matrix of the state they leave by a streaming TSQR, and
-    reads blocks of EXACT_ROWS points from it.  The TSQR's leaves are
-    EXACT_ROWS coherence rows, and one stacked QR call factors a batch of
-    EXACT_LEAVES leaves, 256 KiB of rows and a 128 KiB index at N = 16; one
-    more merges their factors into the root.
-    No route can return a negative value; non-finite inputs and float
-    overflow raise ValueError.
+    The closed form takes the whole grid in one call, each other route its own
+    scan: _scan_exact, _scan_pathsum or _scan_functional.  No route can return
+    a negative value; non-finite inputs and float overflow raise ValueError.
     """
     if method not in METHODS:
         raise ValueError(f"unknown method {method!r}, expected one of {METHODS}")
+    theta1 = _real("theta1", theta1)
     if not math.isfinite(theta1):
         raise ValueError(f"theta1 must be finite, got {theta1}")
     grid = np.asarray(theta2_grid, dtype=float)
@@ -382,56 +441,14 @@ def scan_curve(
 
     phase_x = geometry.kd * (math.sin(theta1) - np.sin(grid))
 
-    values = np.empty(grid.size, dtype=float)
     if method == "closed":
         values = g_m_closed_coincident(n, order_m, phase_x)
     elif method == "exact":
-        # m - 1 detections at theta1 prepare psi once.  phi[t, l] = <t|sigma_l|psi>
-        # over the targets t with N - m emitters up; where l is down in t the
-        # gather lands on a zero amplitude of psi, which has N - m + 1 up.
-        state = fully_excited(n)
-        for _ in range(order_m - 1):
-            state = apply_field(geometry, theta1, state)
-        targets = np.flatnonzero(np.bitwise_count(np.arange(1 << n)) == n - order_m)
-        # A TSQR (Demmel, Grigori, Hoemmen and Langou, SIAM J. Sci. Comput. 34,
-        # A206 (2012)): one stacked call factors a batch of EXACT_LEAVES leaves,
-        # and one more merges the running root, their R factors and, in the
-        # last batch, the rows past the last full leaf.
-        amps, bits = state.amplitudes, 1 << np.arange(n)
-        batch = EXACT_ROWS * EXACT_LEAVES
-        full = targets.size - targets.size % EXACT_ROWS
-        root = np.empty((0, n), dtype=complex)
-        for start in range(0, targets.size, batch):
-            leaves = targets[start:min(start + batch, full)].reshape(-1, EXACT_ROWS, 1)
-            tail = targets[full:start + batch, None]
-            merged = [root]
-            if leaves.size:
-                merged.append(np.linalg.qr(amps[leaves | bits], mode="r").reshape(-1, n))
-            merged.append(amps[tail | bits])
-            root = np.linalg.qr(np.vstack(merged), mode="r")
-        # root^H root is the coherence matrix <sigma_l psi|sigma_l' psi>, so
-        # G(theta2) = |root c|^2 with c_l = exp(-i * (l * kd) * sin(theta2)).
-        emitter_kd = np.arange(1, n + 1) * geometry.kd
-        for start in range(0, grid.size, EXACT_ROWS):
-            block = slice(start, start + EXACT_ROWS)
-            image = root @ np.exp(-1j * (emitter_kd[:, None] * np.sin(grid[block])))
-            values[block] = (image.real**2 + image.imag**2).sum(axis=0)
+        values = _scan_exact(geometry, order_m, theta1, grid)
     elif method == "pathsum":
-        check_path_budget(grid.size * pathsum_terms(n, order_m))
-        # Stacks of at most PATH_CHUNK angles, so that no scan holds m copies of its grid.
-        size = max(1, PATH_CHUNK // order_m)
-        for start in range(0, grid.size, size):
-            block = grid[start:start + size, None]
-            stack = np.hstack([np.full((len(block), order_m - 1), theta1), block])
-            values[start:start + size] = g_m_pathsum(geometry, stack)
+        values = _scan_pathsum(geometry, order_m, theta1, grid)
     else:  # functional
-        box = (order_m - 1, 1)
-        # Blocks of points holding at most BLOCK_COEFFICIENTS coefficients, updates / N per point.
-        size = max(1, BLOCK_COEFFICIENTS * n // functional_updates(n, box))
-        for start in range(0, grid.size, size):
-            block = grid[start:start + size, None]
-            angles = np.hstack([np.full_like(block, theta1), block])
-            values[start:start + size] = extract_gm(build_functional(geometry, angles, box), box)
+        values = _scan_functional(geometry, order_m, theta1, grid)
 
     if not np.isfinite(values).all():
         raise ValueError(f"method {method} produced a non-finite value (float overflow)")

@@ -1,12 +1,16 @@
+import contextlib
+import csv
 import io
 import json
 import math
+import sys
 import tracemalloc
 import warnings
 from dataclasses import asdict
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import dickesim.cli
 import dickesim.correlations
@@ -619,3 +623,80 @@ def test_functional_term_bound_checked_before_allocation(capsys):
 def test_functional_scan_runs_where_the_full_polynomial_did_not():
     # The full polynomial at N=400, K=2 held over 2^20 terms; the box (1, 1) holds 6.
     assert run(["--method", "functional", "--n-atoms", "400", "--theta2-steps", "5"]) == 0
+
+
+# Floats at the edges of what the float options parse: both zeros, subnormals,
+# the float maximum, infinities and NaN, beside ordinary values.
+EDGE_FLOATS = [0.0, -0.0, 5e-324, -5e-324, 1e-310, sys.float_info.min, 0.3141, -1.2,
+               2 * math.pi, 1e308, -1e308, sys.float_info.max, -sys.float_info.max,
+               math.inf, -math.inf, math.nan]
+FUZZ_EMITTERS = [-1, 0, 1, 2, 3, 5, 8]
+
+
+@st.composite
+def cli_argv(draw):
+    """An argv that argparse accepts, each option given or left to its default.
+
+    Drawn so that every run is cheap: N <= 8, and N <= 3 for the one run in ten
+    that is --verify.
+    """
+    verify = draw(st.integers(0, 9)) == 0
+    n = draw(st.sampled_from([n for n in FUZZ_EMITTERS if n <= 3 or not verify]))
+    floats = st.one_of(st.sampled_from(EDGE_FLOATS), st.floats())
+    options = {
+        "--n-atoms": n,
+        "--order": draw(st.sampled_from([-1, 0, 1, 2, n - 1, n, n + 1])),
+        "--kd": draw(floats),
+        "--theta1": draw(floats),
+        "--theta2-min": draw(floats),
+        "--theta2-max": draw(floats),
+        "--theta2-steps": draw(st.integers(0, 50)),
+        "--method": draw(st.sampled_from(METHODS)),
+        "--format": draw(st.sampled_from(["csv", "json"])),
+        "--seed": draw(st.integers(-1, 3)),
+        "--tuples": draw(st.integers(0, 3)),
+    }
+    argv = ["--verify"] if verify else []
+    for option in draw(st.lists(st.sampled_from(sorted(options)), unique=True)):
+        value = options[option]
+        argv += [option, repr(value) if isinstance(value, float) else str(value)]
+    return argv
+
+
+def _refuse_constant(name):
+    raise ValueError(f"{name} is not strict JSON")
+
+
+@given(argv=cli_argv())
+@settings(max_examples=100, deadline=None)
+def test_every_argv_of_the_grammar_exits_0_1_or_2_cleanly(argv):
+    stdout, stderr = io.StringIO(), io.StringIO()
+    with warnings.catch_warnings(record=True) as caught, \
+            contextlib.redirect_stdout(stdout), contextlib.redirect_stderr(stderr):
+        warnings.simplefilter("always")
+        code = main(argv)
+    out, err = stdout.getvalue(), stderr.getvalue()
+    assert [str(w.message) for w in caught] == []
+    assert code in (0, 1, 2)
+    if code == 2:
+        assert out == "" and err.startswith("error: ") and err.count("\n") == 1
+        assert err.endswith("\n")
+        return
+    assert err == ""
+    if "--verify" in argv:
+        assert out.startswith(("PASS ", "FAIL "))
+        return
+    assert code == 0
+    if dict(zip(argv, argv[1:])).get("--format") == "json":
+        payload = json.loads(out, parse_constant=_refuse_constant)
+        assert len(payload["curve"]["value"]) == payload["config"]["theta2_steps"]
+        return
+    lines = out.splitlines()
+    assert lines[0].startswith("# dickesim ")
+    config = json.loads(lines[1].removeprefix("# config "), parse_constant=_refuse_constant)
+    rows = list(csv.reader(lines[2:]))
+    assert rows[0] == ["theta2_rad", "phase_x", "value", "method"]
+    assert len(rows) == 1 + config["theta2_steps"]
+    for row in rows[1:]:
+        assert len(row) == 4 and row[3] == config["method"]
+        assert all(math.isfinite(float(field)) for field in row[:3])

@@ -587,6 +587,21 @@ class TestScanAndSummary:
         with pytest.raises(ValueError, match=r"theta2 grid must be finite, got \[inf\]"):
             scan_curve(g, 2, 0.0, [0.0, math.inf], "functional")
 
+    @pytest.mark.parametrize("theta1", ["0.3", 0.3 + 0j, np.array([0.3]), None],
+                             ids=["str", "complex", "array", "none"])
+    def test_a_theta1_that_is_no_real_number_is_refused(self, theta1):
+        # Read as kd and the detector angles are: a ValueError, which the CLI reports.
+        for method in METHODS:
+            with pytest.raises(ValueError, match="theta1 must be a real number, got"):
+                scan_curve(EmitterGeometry(3, KD), 2, theta1, [0.0, 0.1], method)
+
+    def test_a_float32_theta1_keeps_its_bits(self):
+        theta1 = np.float32(0.3)
+        for method in METHODS:
+            values = [scan_curve(EmitterGeometry(4, KD), 3, t, [0.0, 0.1], method).values
+                      for t in (theta1, float(theta1))]
+            assert values[0].tobytes() == values[1].tobytes(), method
+
     def test_pathsum_budget_propagates(self):
         # One point is 4^9 * 20 = 5.2e6 terms, under the budget; twenty are
         # 1.05e8, so the scan raises before its first point.
@@ -707,11 +722,47 @@ class TestScanAndSummary:
                     for value in scan_curve(g, m, theta1, np.unique(grid), "exact").values:
                         assert value >= 0 and math.copysign(1.0, value) == 1.0, (n, m, theta1)
 
-    def test_curve_symmetric_at_theta1_zero(self):
-        g = EmitterGeometry(5, KD)
-        grid = np.linspace(-1.2, 1.2, 49)
-        curve = scan_curve(g, 4, 0.0, grid, "closed")
-        assert np.allclose(curve.values, curve.values[::-1], rtol=1e-9)
+    def test_every_route_is_mirror_symmetric(self):
+        # At m = N and theta1 = 0 no two routes agree near the fringe zeros, so
+        # this is the one check that judges a route alone there.  The exact
+        # scan at (20, 20) prepares a 2^20 state, 0.4 s a scan: only theta1 = 0,
+        # whose mirror is the scan itself; the path sum, over 1 s a scan, not there.
+        for n, m in [(5, 4), (12, 6), (16, 16)]:
+            for method in METHODS:
+                assert_mirror_symmetric(method, n, m, MIRROR_THETA1)
+        for method in ("functional", "closed"):
+            assert_mirror_symmetric(method, 20, 20, MIRROR_THETA1)
+        assert_mirror_symmetric("exact", 20, 20, (0.0,))
+
+    @pytest.mark.parametrize("route", ["_scan_exact", "_scan_pathsum", "_scan_functional"])
+    def test_a_theta1_offset_in_one_route_breaks_its_mirror_symmetry(self, route, monkeypatch):
+        scan = getattr(dickesim.correlations, route)
+        monkeypatch.setattr(dickesim.correlations, route,
+                            lambda g, m, theta1, grid: scan(g, m, theta1 + 1e-3, grid))
+        method = route.removeprefix("_scan_")
+        for theta1 in MIRROR_THETA1:
+            with pytest.raises(AssertionError):
+                assert_mirror_symmetric(method, 5, 4, (theta1,))
+
+
+MIRROR_THETA1 = (0.0, 0.3141, -1.2)
+
+
+def assert_mirror_symmetric(method, n, m, thetas):
+    """G(theta1, theta2) = G(-theta1, -theta2) on a grid that is its own mirror.
+
+    Bit for bit on every route but the exact one, whose QR root holds it to 1e-13.
+    """
+    g = EmitterGeometry(n, KD)
+    half = np.linspace(0.0, 1.2, 3)
+    grid = np.concatenate([-half[:0:-1], half])
+    for theta1 in thetas:
+        values = scan_curve(g, m, theta1, grid, method).values
+        mirror = scan_curve(g, m, -theta1, grid, method).values[::-1] if theta1 else values[::-1]
+        if method == "exact":
+            np.testing.assert_allclose(values, mirror, rtol=1e-13, atol=0, err_msg=(n, m, theta1))
+        else:
+            assert values.tobytes() == mirror.tobytes(), (method, n, m, theta1)
 
 
 def _first_zero_by_loop(phase_x, values):

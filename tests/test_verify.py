@@ -1,10 +1,13 @@
 """Every cross-validation suite must fail when one of the routes it compares is wrong.
 
 Each test first runs the suite as is at a small size, then plants a fault in
-one route, as the suite's module sees it, and runs the suite again.
+one route, as the suite's module sees it, and runs the suite again.  The
+routes must also stay apart: no two share dickesim code but the input checks.
 """
 import inspect
+import itertools
 import math
+import types
 
 import numpy as np
 import pytest
@@ -83,37 +86,127 @@ def mutant(fn, old, new):
     return namespace[fn.__name__]
 
 
-# One fault per blocked branch of scan_curve, with the branch's block constant
-# made small, so that the suite's 5-point grids span several blocks.
+# One fault per blocked route scan, with the route's block constant made small,
+# so that the suite's 5-point grids span several blocks.
 SCAN_FAULTS = [
     # The exact scan's coherence rows past its last full leaf never reach the
     # QR: at N = 4, m = 2 that is 2 of the 6 targets.
-    ("EXACT_ROWS", 4,
+    ("_scan_exact", "EXACT_ROWS", 4,
      "merged.append(amps[tail | bits])",
      "merged.append(amps[tail[:0] | bits])"),
     # Each one-point path-sum block after the first starts one point early.
-    ("PATH_CHUNK", 1,
-     "block = grid[start:start + size, None]\n            stack",
-     "block = grid[max(start - 1, 0):max(start - 1, 0) + size, None]\n            stack"),
+    ("_scan_pathsum", "PATH_CHUNK", 1,
+     "block = grid[start:start + size, None]",
+     "block = grid[max(start - 1, 0):max(start - 1, 0) + size, None]"),
     # The functional scan's second block reuses the first block's angles.
-    ("BLOCK_COEFFICIENTS", 1,
-     "block = grid[start:start + size, None]\n            angles",
-     "block = grid[(first := 0 if start == size else start):first + size, None]\n            angles"),
+    ("_scan_functional", "BLOCK_COEFFICIENTS", 1,
+     "block = grid[start:start + size, None]",
+     "block = grid[(first := 0 if start == size else start):first + size, None]"),
 ]
 
 
-@pytest.mark.parametrize("constant, value, old, new", SCAN_FAULTS,
+@pytest.mark.parametrize("route, constant, value, old, new", SCAN_FAULTS,
                          ids=["exact-qr-block", "pathsum-block-start", "functional-block"])
-def test_planted_scan_fault_fails_the_coincident_suite(constant, value, old, new, monkeypatch):
+def test_planted_scan_fault_fails_the_coincident_suite(route, constant, value, old, new,
+                                                        monkeypatch):
     monkeypatch.setattr(dickesim.correlations, constant, value)
     suite = lambda: coincident_oracle_suite(n_max=4, n_tuples=5)
     clean = suite()
     assert clean.passed, clean
-    faulty = mutant(dickesim.correlations.scan_curve, old, new)
-    monkeypatch.setattr(dickesim.verify, "scan_curve", faulty)
+    faulty = mutant(getattr(dickesim.correlations, route), old, new)
+    monkeypatch.setattr(dickesim.correlations, route, faulty)
     result = suite()
     assert not result.passed
     assert result.worst_case != "none"
+
+
+# Each route's entry functions, by their names in dickesim.correlations.
+ROUTES = {
+    "exact": ("g_m_exact", "_scan_exact"),
+    "pathsum": ("g_m_pathsum", "_scan_pathsum"),
+    "closed": ("g_m_closed_coincident",),
+    "functional": ("build_functional", "extract_gm", "_scan_functional"),
+}
+# The input checks, the only dickesim code two routes may share.
+SHARED_CHECKS = {f"dickesim.core.{name}" for name in ("_check_count", "check_order",
+                                                      "check_finite_angles")}
+
+
+def _code_names(code):
+    yield from code.co_names
+    for const in code.co_consts:
+        if isinstance(const, types.CodeType):
+            yield from _code_names(const)
+
+
+def reached(entries):
+    """Every dickesim function and class the entry functions reach, by qualified name.
+
+    A function reaches each name its code or nested code reads, looked up in
+    its own globals; a class reaches its methods.  Methods called on an
+    argument, such as geometry.phase_of, and NumPy are not followed.
+    """
+    seen, todo = set(), [getattr(dickesim.correlations, name) for name in entries]
+    while todo:
+        obj = todo.pop()
+        key = f"{obj.__module__}.{obj.__qualname__}"
+        if key in seen or not obj.__module__.startswith("dickesim"):
+            continue
+        seen.add(key)
+        if isinstance(obj, type):
+            for attr in vars(obj).values():
+                # classmethod and staticmethod, cached_property, property
+                for unwrap in ("__func__", "func", "fget"):
+                    attr = getattr(attr, unwrap, attr)
+                if isinstance(attr, types.FunctionType):
+                    todo.append(attr)
+            continue
+        for name in _code_names(obj.__code__):
+            found = obj.__globals__.get(name)
+            if isinstance(found, (type, types.FunctionType)):
+                todo.append(found)
+    return seen
+
+
+def shared_beyond_the_checks():
+    reach = {route: reached(entries) for route, entries in ROUTES.items()}
+    pairs = itertools.combinations(reach, 2)
+    return {(a, b): shared for a, b in pairs if (shared := reach[a] & reach[b] - SHARED_CHECKS)}
+
+
+def test_routes_share_only_the_input_checks():
+    assert shared_beyond_the_checks() == {}
+    # The walk reaches each route's kernel, so an empty intersection says something.
+    kernels = {"exact": "core.apply_field", "pathsum": "correlations._pathsum_symmetric",
+               "closed": "correlations.interference_kernel",
+               "functional": "functional.FormalPolynomial"}
+    for route, kernel in kernels.items():
+        assert f"dickesim.{kernel}" in reached(ROUTES[route]), route
+
+
+# One route made to call another route's code; the walk reads the code, and runs none of it.
+INDEPENDENCE_FAULTS = [
+    ("_pathsum_symmetric",
+     "size = max(1, PATH_CHUNK // ((2 * m + 2) * points * cols))",
+     "size = max(1, PATH_CHUNK // functional_updates(n, (m, cols)))"),
+    ("g_m_closed_coincident",
+     "mean = angular_average_gm(n, m)",
+     "mean = angular_average_gm(n, m) * apply_field(EmitterGeometry(1, 1.0), 0.0,"
+     " fully_excited(1)).norm_sq()"),
+    ("_scan_functional",
+     "values = np.empty(grid.size, dtype=float)",
+     "values = np.empty(grid.size, dtype=float) + 0 * _phases(geometry, np.sin(grid))[0].real"),
+]
+
+
+@pytest.mark.parametrize("name, old, new", INDEPENDENCE_FAULTS,
+                         ids=["pathsum-calls-functional", "closed-calls-exact",
+                              "functional-calls-pathsum"])
+def test_a_planted_shared_kernel_fails_the_independence_check(name, old, new, monkeypatch):
+    assert shared_beyond_the_checks() == {}
+    faulty = mutant(getattr(dickesim.correlations, name), old, new)
+    monkeypatch.setattr(dickesim.correlations, name, faulty)
+    assert shared_beyond_the_checks()
 
 
 def test_coincident_suite_runs_each_scan_engine_once_per_n_and_m(monkeypatch):
