@@ -33,7 +33,10 @@ def _real(name: str, value) -> float:
     # np.float32 is a Real, and read as a Python float; an array is refused.
     if not isinstance(value, numbers.Real):
         raise ValueError(f"{name} must be a real number, got {value!r}")
-    return float(value)
+    value = float(value)
+    if not math.isfinite(value):
+        raise ValueError(f"{name} must be finite, got {value}")
+    return value
 
 
 def check_order(n_emitters: int, order_m: int) -> None:
@@ -44,14 +47,14 @@ def check_order(n_emitters: int, order_m: int) -> None:
         raise ValueError(f"order must lie in 1..{n_emitters}, got {order_m}")
 
 
-def check_finite_angles(angles: np.ndarray) -> None:
-    """Reject an array of detector angles with a NaN or an infinity, naming only those.
+def check_finite_angles(angles: np.ndarray, name: str = "detector angles") -> None:
+    """Reject an array of angles with a NaN or an infinity, naming only those.
 
     Callers check before np.sin, which warns on inf.
     """
     if not np.isfinite(angles).all():
         bad = np.unique(angles[~np.isfinite(angles)])
-        raise ValueError(f"detector angles must be finite, got {bad.tolist()}")
+        raise ValueError(f"{name} must be finite, got {bad.tolist()}")
 
 
 def _dense_dim(n_emitters: int) -> int:
@@ -76,7 +79,7 @@ class EmitterGeometry:
         if self.n_emitters < 1:
             raise ValueError(f"need at least one emitter, got {self.n_emitters}")
         object.__setattr__(self, "kd", _real("kd", self.kd))
-        if not (self.kd > 0 and math.isfinite(self.kd)):
+        if not self.kd > 0:
             raise ValueError(f"kd must be positive and finite, got {self.kd}")
         # No route forms a phase beyond N * 2kd: emitter phases are at most N * kd,
         # and the detector phase x is at most 2kd.
@@ -107,8 +110,6 @@ class DetectorList:
         angles = tuple(_real("detector angle", a) for a in self.angles)
         if not angles:
             raise ValueError("need at least one detector")
-        if not all(map(math.isfinite, angles)):
-            raise ValueError(f"detector angles must be finite, got {angles}")
         object.__setattr__(self, "angles", angles)
 
     @classmethod
@@ -151,12 +152,6 @@ class StateVector:
     def is_normalized(self) -> bool:
         return abs(self.norm_sq() - 1.0) <= NORM_TOL
 
-    def normalized(self) -> "StateVector":
-        n2 = self.norm_sq()
-        if n2 == 0.0:
-            raise ValueError("cannot normalize the zero vector")
-        return StateVector(self.amplitudes / math.sqrt(n2), self.n_emitters)
-
     def overlap(self, other: "StateVector") -> complex:
         if other.n_emitters != self.n_emitters:
             raise ValueError("overlap requires equal emitter counts")
@@ -180,12 +175,12 @@ def two_atom_delta_state(delta: float) -> StateVector:
 
 def dicke_state(n_emitters: int, n_ground: int) -> StateVector:
     """Equal-weight superposition of all configurations with n_ground emitters down."""
+    dim = _dense_dim(n_emitters)
     _check_count("ground count", n_ground)
     if not 0 <= n_ground <= n_emitters:
         raise ValueError(
             f"n_ground must lie in 0..{n_emitters}, got {n_ground}"
         )
-    dim = _dense_dim(n_emitters)
     amps = np.zeros(dim, dtype=np.complex128)
     amps[np.bitwise_count(np.arange(dim)) == n_emitters - n_ground] = (
         1.0 / math.sqrt(math.comb(n_emitters, n_ground))
@@ -202,6 +197,7 @@ def apply_field(geometry: EmitterGeometry, theta: float, state: StateVector) -> 
     n = state.n_emitters
     if geometry.n_emitters != n:
         raise ValueError("geometry and state disagree on emitter count")
+    theta = _real("detector angle", theta)
     # Only occupied basis states contribute: after k detections of the fully
     # excited state that is C(N, k) of the 2**N amplitudes.
     occupied = np.flatnonzero(state.amplitudes != 0)

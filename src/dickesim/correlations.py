@@ -426,14 +426,10 @@ def scan_curve(
     if method not in METHODS:
         raise ValueError(f"unknown method {method!r}, expected one of {METHODS}")
     theta1 = _real("theta1", theta1)
-    if not math.isfinite(theta1):
-        raise ValueError(f"theta1 must be finite, got {theta1}")
     grid = np.asarray(theta2_grid, dtype=float)
     if grid.ndim != 1 or grid.size == 0:
         raise ValueError("theta2 grid must be a non-empty 1-d sequence")
-    if not np.isfinite(grid).all():
-        bad = np.unique(grid[~np.isfinite(grid)])
-        raise ValueError(f"theta2 grid must be finite, got {bad.tolist()}")
+    check_finite_angles(grid, "theta2 grid")
     if grid.size > 1 and not np.all(np.diff(grid) > 0):
         raise ValueError("theta2 grid must be strictly increasing")
     n = geometry.n_emitters
@@ -479,14 +475,13 @@ def summarize(curve: CorrelationCurve) -> CurveSummary:
 
     vmax = float(v.max())
     vmin = float(v.min())
-    # On halves only where the sum of two values overflows: halving is exact
-    # for normal floats, so both forms give the same bits there, but a half of
-    # a subnormal loses its low bit and the sum of two halves may be zero.
-    total = vmax + vmin
-    if math.isinf(total):
-        visibility = (vmax - vmin) / 2 / (vmax / 2 + vmin / 2)
-    else:
-        visibility = 0.0 if total == 0.0 else (vmax - vmin) / total
+    # The visibility and the mean take halved values only where twice the
+    # largest magnitude overflows: halving is exact for normal floats, so both
+    # forms give the same bits there, but a half of a subnormal loses its low
+    # bit and the sum of two halves may be zero.
+    scale = 2.0 if math.isinf(2 * max(vmax, -vmin)) else 1.0
+    total = vmax / scale + vmin / scale
+    visibility = 0.0 if total == 0.0 else (vmax - vmin) / scale / total
 
     # First interior point at positive phase that is a local minimum below the peak.
     inner = v[1:-1]
@@ -497,12 +492,8 @@ def summarize(curve: CorrelationCurve) -> CurveSummary:
     if x.size > 1 and x[-1] > x[0]:
         # The trapezoid rule on the abscissa normalised to [0, 1], so that no
         # product of a phase step and a value overflows; the span itself is at
-        # most 2kd.  Halved once, after the sum, and on halved values only
-        # where the sum of two values overflows, as the visibility: a half of
-        # a subnormal loses its low bit, and on normal floats both forms give
-        # the same bits.
+        # most 2kd.  Halved once, after the sum, on values divided by scale.
         steps = np.diff((x - x[0]) / (x[-1] - x[0]))
-        scale = 2.0 if math.isinf(2 * max(vmax, -vmin)) else 1.0
         angular_mean = float((steps * (v[1:] / scale + v[:-1] / scale)).sum()) / 2 * scale
     else:
         angular_mean = float(v.mean())

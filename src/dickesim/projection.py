@@ -11,12 +11,14 @@ The "conditioning factorization" suite in ``verify`` checks that it does;
 """
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 from .core import (
     EmitterGeometry,
     StateVector,
     _check_count,
+    _real,
     apply_field,
     fully_excited,
     intensity,
@@ -39,8 +41,8 @@ def cascade_subtract(
     _check_count("count", count)
     if count < 0:
         raise ValueError(f"count must be >= 0, got {count}")
-    # Checked before the loop as well as in it: with count 0 no field is applied.
-    geometry.phase_of(1, theta1)
+    # Read before the loop: with count 0 no field is applied.
+    theta1 = _real("detector angle", theta1)
     if not state.is_normalized():
         raise ValueError("cascade_subtract requires a normalized state")
     current = state
@@ -50,7 +52,7 @@ def cascade_subtract(
         step = image.norm_sq()
         if step <= ZERO_WEIGHT_TOL:
             raise ValueError(f"detection at theta={theta1} has weight {step:.3e}")
-        current = image.normalized()
+        current = StateVector(image.amplitudes / math.sqrt(step), image.n_emitters)
         weight *= step
     return ProjectionResult(current, weight)
 
@@ -71,4 +73,4 @@ def delta_for_detector(geometry: EmitterGeometry, theta2: float) -> float:
     With this delta, the intensity pattern of the entangled single-excitation
     state coincides pointwise with conditional_g2 at fixed theta2.
     """
-    return geometry.phase_of(1, theta2)
+    return geometry.phase_of(1, _real("detector angle", theta2))

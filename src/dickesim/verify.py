@@ -14,7 +14,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import DetectorList, EmitterGeometry, apply_field, dicke_state, fully_excited, intensity
+from .core import (DetectorList, EmitterGeometry, _check_count, apply_field, dicke_state,
+                   fully_excited, intensity)
 from .correlations import (
     METHODS,
     check_path_budget,
@@ -186,6 +187,10 @@ def run_all(
     kd: float = 2 * math.pi,
     seed: int = 0,
 ) -> list[SuiteResult]:
+    for name, value, low in (("n_max", n_max, 2), ("n_tuples", n_tuples, 1), ("seed", seed, 0)):
+        _check_count(name, value)
+        if value < low:
+            raise ValueError(f"{name} must be >= {low}, got {value}")
     # The Dicke-preparation suite runs to N = 10 at least, the others to n_max;
     # a kd too large for the largest chain is rejected before any suite runs.
     n_dicke = max(n_max, 10)

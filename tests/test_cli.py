@@ -143,14 +143,16 @@ def test_verify_stops_counting_at_the_first_n_over_the_budget(monkeypatch, capsy
 def test_verify_rejects_fewer_than_one_tuple(tuples, capsys):
     assert run(["--verify", "--n-atoms", "4", "--tuples", tuples]) == 2
     err = capsys.readouterr().err
-    assert err.startswith("error:") and f"--tuples >= 1, got {tuples}" in err
+    assert err.startswith("error:") and err.count("\n") == 1
+    assert f"n_tuples must be >= 1, got {tuples}" in err
 
 
 def test_verify_rejects_a_negative_seed(capsys):
     assert run(["--verify", "--n-atoms", "4", "--seed", "-1"]) == 2
     out, err = capsys.readouterr()
     assert out == ""
-    assert err.startswith("error:") and "--seed >= 0, got -1" in err
+    assert err.startswith("error:") and err.count("\n") == 1
+    assert "seed must be >= 0, got -1" in err
 
 
 def test_verify_passes(capsys):

@@ -25,6 +25,7 @@ from dickesim import (
     visibility_formula,
 )
 from dickesim.core import check_order
+from dickesim.correlations import METHODS
 from dickesim.verify import REL_TOL, rel_dev
 
 KD = 2 * math.pi
@@ -110,7 +111,14 @@ def test_detector_angles_must_be_finite(bad):
         DetectorList([bad])
     with pytest.raises(ValueError, match="finite"):
         DetectorList.coincident(bad, 3, 0.2)
-    # The dense engine refuses the angle itself, in its one angle-to-phase step.
+
+
+@pytest.mark.parametrize(
+    "bad", ["0.1", None, 0.1j, np.array([0.1, 0.2]), np.array(0.1), math.nan, math.inf, -math.inf],
+    ids=["str", "none", "complex", "array", "0-d-array", "nan", "inf", "-inf"],
+)
+def test_every_entry_point_refuses_an_angle_that_is_no_finite_real(bad):
+    # Each reads one detector angle as DetectorList does, and names it.
     g = EmitterGeometry(2, KD)
     for call in (
         lambda: apply_field(g, bad, fully_excited(2)),
@@ -120,9 +128,13 @@ def test_detector_angles_must_be_finite(bad):
         lambda: delta_for_detector(g, bad),
         lambda: conditional_g2(g, bad, 0.1),
         lambda: conditional_g2(g, 0.1, bad),
+        lambda: g_m_exact(g, (0.1, bad), fully_excited(2)),
     ):
-        with pytest.raises(ValueError, match="detector angle must be finite"):
+        with pytest.raises(ValueError, match="^detector angle must be (a real number|finite), got"):
             call()
+    for method in METHODS:
+        with pytest.raises(ValueError, match="^theta1 must be (a real number|finite), got"):
+            scan_curve(g, 2, bad, [0.0, 0.1], method)
 
 
 def test_check_order():
@@ -145,12 +157,13 @@ def test_check_order():
         (lambda: fully_excited(2.5), "emitter count must be an integer, got 2.5"),
         (lambda: DetectorList.coincident(0.1, 2.5, 0.2), "order must be an integer, got 2.5"),
         (lambda: dicke_state(3, 1.5), "ground count must be an integer, got 1.5"),
+        (lambda: dicke_state("3", 1), "emitter count must be an integer, got '3'"),
         (lambda: cascade_subtract(EmitterGeometry(3, KD), 0.1, 1.5, fully_excited(3)),
          "count must be an integer, got 1.5"),
     ],
     ids=["check_order", "dicke_intensity_closed", "visibility_formula",
          "g_m_closed_coincident", "EmitterGeometry", "fully_excited",
-         "DetectorList.coincident", "dicke_state", "cascade_subtract"],
+         "DetectorList.coincident", "dicke_state", "dicke_state_size", "cascade_subtract"],
 )
 def test_non_integer_counts_refused(call, message):
     with pytest.raises(ValueError, match=message):
@@ -284,14 +297,13 @@ def test_intensity_rejects_unnormalized():
     "call, message",
     [
         (lambda: DetectorList.coincident(0.1, 0, 0.2), "order must be >= 1, got 0"),
-        (lambda: StateVector(np.zeros(4), 2).normalized(), "cannot normalize the zero vector"),
         (lambda: fully_excited(2).overlap(fully_excited(3)), "equal emitter counts"),
         (
             lambda: apply_field(EmitterGeometry(3, KD), 0.1, fully_excited(2)),
             "geometry and state disagree on emitter count",
         ),
     ],
-    ids=["coincident_order", "normalize_zero", "overlap_counts", "apply_field_geometry"],
+    ids=["coincident_order", "overlap_counts", "apply_field_geometry"],
 )
 def test_refusals(call, message):
     with pytest.raises(ValueError, match=message):

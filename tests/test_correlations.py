@@ -38,6 +38,7 @@ from dickesim.correlations import (
 from dickesim.verify import rel_dev
 
 KD = 2 * math.pi
+FMAX = float(np.finfo(float).max)
 
 
 def theta_for_phase(x, kd=KD):
@@ -560,6 +561,20 @@ class TestScanAndSummary:
                                    ([1e-323, 5e-324, 1e-323], 1 / 3)]:
             curve = CorrelationCurve(np.arange(3.0), phases, np.array(values), "closed")
             assert summarize(curve).visibility == visibility
+
+    @pytest.mark.parametrize("vmax, vmin", [
+        (FMAX, 0.0), (FMAX, 5e-324), (np.nextafter(FMAX / 2, math.inf), 0.0),
+        (np.nextafter(FMAX / 2, math.inf), 5e-324), (np.nextafter(FMAX / 2, math.inf), 1e300),
+        (1.2e308, 5e-324), (1.2e308, 1e300), (1.7e308, 1e300),
+    ])
+    def test_visibility_where_twice_the_peak_overflows_but_the_sum_does_not(self, vmax, vmin):
+        # summarize halves the values here, as where the sum overflows; halving
+        # a normal peak is exact, so the visibility keeps the plain quotient's bits.
+        vmax, vmin = float(vmax), float(vmin)
+        assert math.isinf(2 * vmax) and math.isfinite(vmax + vmin)
+        values = np.array([vmin, vmax, vmin])
+        curve = CorrelationCurve(np.arange(3.0), np.array([-1.0, 0.0, 1.0]), values, "closed")
+        assert summarize(curve).visibility == (vmax - vmin) / (vmax + vmin)
 
     @pytest.mark.parametrize("value", [5e-324, 1e-310, 1e308])
     @pytest.mark.parametrize("points", [2, 3])

@@ -244,14 +244,38 @@ def test_functional_suite_builds_once_per_n(monkeypatch):
 
 
 @pytest.mark.parametrize(
-    "suite, name",
+    "suite, message",
     [
-        (lambda: run_all(n_max=4, n_tuples=0), "cross-method"),
-        (lambda: cross_method_suite(n_max=1), "cross-method"),
-        (lambda: factorization_suite(n_max=1), "conditioning factorization"),
+        # run_all refuses the count before any suite runs.
+        (lambda: run_all(n_max=4, n_tuples=0), "n_tuples must be >= 1, got 0"),
+        (lambda: cross_method_suite(n_max=1), "suite 'cross-method.*compared nothing"),
+        (lambda: factorization_suite(n_max=1),
+         "suite 'conditioning factorization.*compared nothing"),
     ],
     ids=["run-all-no-tuples", "cross-method-n1", "factorization-n1"],
 )
-def test_suite_that_compares_nothing_raises(suite, name):
-    with pytest.raises(ValueError, match=f"suite '{name}.*compared nothing"):
+def test_suite_that_compares_nothing_raises(suite, message):
+    with pytest.raises(ValueError, match=message):
         suite()
+
+
+@pytest.mark.parametrize(
+    "kwargs, message",
+    [
+        ({"n_max": 2.5}, "n_max must be an integer, got 2.5"),
+        ({"n_tuples": 2.5}, "n_tuples must be an integer, got 2.5"),
+        ({"seed": 2.5}, "seed must be an integer, got 2.5"),
+        ({"n_max": 1}, "n_max must be >= 2, got 1"),
+        ({"n_tuples": -1}, "n_tuples must be >= 1, got -1"),
+        ({"seed": -1}, "seed must be >= 0, got -1"),
+    ],
+    ids=["n_max-float", "n_tuples-float", "seed-float", "n_max-1", "n_tuples-negative",
+         "seed-negative"],
+)
+def test_run_all_refuses_its_counts_before_any_suite(kwargs, message, monkeypatch):
+    def refuse(*args, **kwargs):
+        raise AssertionError("a suite ran")
+
+    monkeypatch.setattr(dickesim.verify, "cross_method_suite", refuse)
+    with pytest.raises(ValueError, match=f"^{message}$"):
+        run_all(**kwargs)
