@@ -208,12 +208,10 @@ def apply_field(geometry: EmitterGeometry, theta: float, state: StateVector) -> 
         hit = (occupied & bit) != 0
         # Lower emitter l where it is excited.  For a fixed l the targets
         # occupied ^ bit are distinct, so += adds each term once, and every
-        # output amplitude sums its terms in ascending l.  `lowered` is named
-        # so that NumPy cannot reuse it in place: that would take
-        # lowered * phase, which rounds differently from phase * lowered.
-        lowered = present[hit]
+        # output amplitude sums its terms in ascending l.
         phase = cmath.exp(-1j * geometry.phase_of(l, theta))
-        out[occupied[hit] ^ bit] += phase * lowered
+        # The ufunc keeps the phase first; `*` may reuse the gather in place as present * phase.
+        out[occupied[hit] ^ bit] += np.multiply(phase, present[hit])
     out.flags.writeable = False
     return StateVector(out, n)
 

@@ -12,7 +12,7 @@
                    its scan is _scan_pathsum (the oracle; shares no kernel with the engine)
 * g_m_closed_coincident -- analytic form for (m-1) coincident detectors,
                    elementwise: a float for a scalar phase, an array for an array
-* functional    -- characteristic functional (functional.py), scanned by _scan_functional
+* functional    -- characteristic functional: build, read-out and scan in functional.py
 
 plus, beside the closed form, the Dicke-state intensity that m-1 detections
 prepare (both are a count times one unit-mean fringe), the fringe
@@ -36,7 +36,7 @@ from .core import (
     check_order,
     fully_excited,
 )
-from .functional import BLOCK_COEFFICIENTS, build_functional, extract_gm, functional_updates
+from .functional import _scan_functional
 
 # Most path-sum terms, pathsum_terms(N, m) per path sum, that one g_m_pathsum
 # call, pathsum scan or verification run may take.
@@ -394,19 +394,6 @@ def _scan_pathsum(geometry: EmitterGeometry, order_m: int, theta1: float, grid) 
         block = grid[start:start + size, None]
         stack = np.hstack([np.full((len(block), order_m - 1), theta1), block])
         values[start:start + size] = g_m_pathsum(geometry, stack)
-    return values
-
-
-def _scan_functional(geometry: EmitterGeometry, order_m: int, theta1: float, grid) -> np.ndarray:
-    """The functional scan: one build on a (P, 2) stack per block of points."""
-    n, box = geometry.n_emitters, (order_m - 1, 1)
-    values = np.empty(grid.size, dtype=float)
-    # Blocks of points holding at most BLOCK_COEFFICIENTS coefficients, updates / N per point.
-    size = max(1, BLOCK_COEFFICIENTS * n // functional_updates(n, box))
-    for start in range(0, grid.size, size):
-        block = grid[start:start + size, None]
-        angles = np.hstack([np.full_like(block, theta1), block])
-        values[start:start + size] = extract_gm(build_functional(geometry, angles, box), box)
     return values
 
 

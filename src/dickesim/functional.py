@@ -9,7 +9,7 @@ up to a box of powers need only those inside it.  The build keeps a square
 root R_d of each degree's Gram block and adds an emitter by one QR
 factorization per degree, made by one stacked QR call per shape of stack.
 G is then a sum of squared moduli, read without a cancelling sum:
-Householder QR is backward stable.
+Householder QR is backward stable.  _scan_functional scans a theta2 grid.
 """
 from __future__ import annotations
 
@@ -29,7 +29,7 @@ from .core import EmitterGeometry, _check_count, check_finite_angles
 # cols_d counts the box's exponent tuples of degree d.  It bounds both a build's
 # memory and its loop length.
 MAX_FUNCTIONAL_TERMS = 2**20
-# Coefficients, sum_d cols_d^2 per point, that scan_curve holds in one block of points.
+# Coefficients, sum_d cols_d^2 per point, that _scan_functional holds in one block of points.
 BLOCK_COEFFICIENTS = 2**16
 
 Exponents = tuple[int, ...]
@@ -122,17 +122,16 @@ def build_functional(geometry: EmitterGeometry, angles, box: Sequence[int]) -> F
     for j in range(1, n + 1):
         cbar = np.exp(1j * (j * geometry.kd) * sines)
         # Degrees above j are still empty.  Every stack is read from the
-        # factors before emitter j; then the stacks of each shape are factored
-        # by one stacked QR, which runs LAPACK on each matrix as a call of its
-        # own would.  A lone stack is passed as it is.
+        # factors before emitter j; then the stacks of each shape are joined
+        # and factored by one stacked QR, which runs LAPACK on each matrix as
+        # a call of its own would.
         groups = {}
         for d in range(min(j, len(codes) - 1), 0, -1):
             t = (cbar @ shifts[d - 1]).reshape(points, len(codes[d - 1]), len(codes[d]))
             stack = np.concatenate([factors[d], factors[d - 1] @ t], axis=-2)
             groups.setdefault(stack.shape, []).append((d, stack))
         for group in groups.values():
-            r = np.linalg.qr(group[0][1] if len(group) == 1
-                             else np.concatenate([s for _, s in group]), mode="r")
+            r = np.linalg.qr(np.concatenate([s for _, s in group]), mode="r")
             for g, (d, _) in enumerate(group):
                 factors[d] = r[g * points:(g + 1) * points]
     return FormalPolynomial(box, tuple(levels), tuple(factors))
@@ -165,3 +164,16 @@ def extract_gm(poly: FormalPolynomial, multiplicities: Sequence[int]) -> np.ndar
     # Past the float range a value is inf, left for the caller to report.
     with np.errstate(over="ignore"):
         return (column.real**2 + column.imag**2).sum(axis=1)
+
+
+def _scan_functional(geometry: EmitterGeometry, order_m: int, theta1: float, grid) -> np.ndarray:
+    """The functional scan: one build on a (P, 2) stack per block of points."""
+    n, box = geometry.n_emitters, (order_m - 1, 1)
+    values = np.empty(grid.size, dtype=float)
+    # Blocks of points holding at most BLOCK_COEFFICIENTS coefficients, updates / N per point.
+    size = max(1, BLOCK_COEFFICIENTS * n // functional_updates(n, box))
+    for start in range(0, grid.size, size):
+        block = grid[start:start + size, None]
+        angles = np.hstack([np.full_like(block, theta1), block])
+        values[start:start + size] = extract_gm(build_functional(geometry, angles, box), box)
+    return values

@@ -134,10 +134,11 @@ def factorization_suite(
                     g_m_exact(geometry, DetectorList.coincident(theta1, m, theta2), state),
                     intensity(geometry, theta2, cas.projected_state) * cas.weight,
                 ]
-                if abs(math.sin(theta1)) < 1e-15:
+                angles = f"theta1={theta1:.4f} theta2={theta2:.4f}"
+                if i == n_tuples:
                     weight = math.comb(n, m - 1) * math.factorial(m - 1) ** 2
                     values.append(intensity(geometry, theta2, dicke_state(n, m - 1)) * weight)
-                angles = f"theta1={theta1:.4f} theta2={theta2:.4f}" if i < n_tuples else "theta1=0"
+                    angles = "theta1=0"
                 for a, b in itertools.combinations(values, 2):
                     yield rel_dev(a, b), f"N={n} m={m} {angles}"
 

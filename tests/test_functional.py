@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-import dickesim.correlations
+import dickesim.functional
 from dickesim import (
     EmitterGeometry,
     build_functional,
@@ -432,9 +432,9 @@ def test_scan_blocks_leave_the_curve_bit_identical(monkeypatch):
         calls.append(len(angles))
         return build_functional(geometry, angles, box)
 
-    monkeypatch.setattr(dickesim.correlations, "build_functional", counted)
+    monkeypatch.setattr(dickesim.functional, "build_functional", counted)
     # 12 emitters on the box (4, 1): 1 + 4 * 2^2 + 1 = 18 coefficients, 216 updates a point.
-    monkeypatch.setattr(dickesim.correlations, "BLOCK_COEFFICIENTS", 4 * 18)
+    monkeypatch.setattr(dickesim.functional, "BLOCK_COEFFICIENTS", 4 * 18)
     blocked = scan_curve(g, 5, 0.4, grid, "functional")
     assert calls == [4, 4, 4, 4, 4, 1]
     assert np.array_equal(blocked.values, whole.values)

@@ -13,6 +13,7 @@ import numpy as np
 import pytest
 
 import dickesim.correlations
+import dickesim.functional
 import dickesim.projection
 import dickesim.verify
 from dickesim.verify import (
@@ -86,8 +87,8 @@ def mutant(fn, old, new):
     return namespace[fn.__name__]
 
 
-# One fault per blocked route scan, with the route's block constant made small,
-# so that the suite's 5-point grids span several blocks.
+# One fault per blocked route scan, with the route's block constant made small
+# in the scan's own module, so that the suite's 5-point grids span several blocks.
 SCAN_FAULTS = [
     # The exact scan's coherence rows past its last full leaf never reach the
     # QR: at N = 4, m = 2 that is 2 of the 6 targets.
@@ -109,27 +110,36 @@ SCAN_FAULTS = [
                          ids=["exact-qr-block", "pathsum-block-start", "functional-block"])
 def test_planted_scan_fault_fails_the_coincident_suite(route, constant, value, old, new,
                                                         monkeypatch):
-    monkeypatch.setattr(dickesim.correlations, constant, value)
+    scan = getattr(dickesim.correlations, route)
+    monkeypatch.setattr(inspect.getmodule(scan), constant, value)
     suite = lambda: coincident_oracle_suite(n_max=4, n_tuples=5)
     clean = suite()
     assert clean.passed, clean
-    faulty = mutant(getattr(dickesim.correlations, route), old, new)
+    faulty = mutant(scan, old, new)
     monkeypatch.setattr(dickesim.correlations, route, faulty)
     result = suite()
     assert not result.passed
     assert result.worst_case != "none"
 
 
-# Each route's entry functions, by their names in dickesim.correlations.
+# Each route's entry functions, as module.name where they live.
 ROUTES = {
-    "exact": ("g_m_exact", "_scan_exact"),
-    "pathsum": ("g_m_pathsum", "_scan_pathsum"),
-    "closed": ("g_m_closed_coincident",),
-    "functional": ("build_functional", "extract_gm", "_scan_functional"),
+    "exact": ("correlations.g_m_exact", "correlations._scan_exact"),
+    "pathsum": ("correlations.g_m_pathsum", "correlations._scan_pathsum"),
+    "closed": ("correlations.g_m_closed_coincident",),
+    "functional": ("functional.build_functional", "functional.extract_gm",
+                   "functional._scan_functional"),
 }
 # The input checks, the only dickesim code two routes may share.
 SHARED_CHECKS = {f"dickesim.core.{name}" for name in ("_check_count", "check_order",
                                                       "check_finite_angles")}
+
+
+def resolve(path):
+    """The dickesim module and the object that path, module.name, names in it."""
+    module, name = path.split(".")
+    module = getattr(dickesim, module)
+    return module, getattr(module, name)
 
 
 def _code_names(code):
@@ -146,7 +156,7 @@ def reached(entries):
     its own globals; a class reaches its methods.  Methods called on an
     argument, such as geometry.phase_of, and NumPy are not followed.
     """
-    seen, todo = set(), [getattr(dickesim.correlations, name) for name in entries]
+    seen, todo = set(), [resolve(path)[1] for path in entries]
     while todo:
         obj = todo.pop()
         key = f"{obj.__module__}.{obj.__qualname__}"
@@ -184,28 +194,42 @@ def test_routes_share_only_the_input_checks():
         assert f"dickesim.{kernel}" in reached(ROUTES[route]), route
 
 
-# One route made to call another route's code; the walk reads the code, and runs none of it.
+def test_correlations_takes_only_the_functional_scan():
+    # The functional route lives whole in functional.py; scan_curve's dispatch
+    # is the one place correlations names it.
+    names = [name for name, obj in vars(dickesim.correlations).items()
+             if getattr(obj, "__module__", None) == "dickesim.functional"]
+    assert names == ["_scan_functional"]
+
+
+# One route made to call another route's code, with the foreign names planted in
+# the mutated function's module as an import would; the walk reads the code, and
+# runs none of it.
 INDEPENDENCE_FAULTS = [
-    ("_pathsum_symmetric",
+    ("correlations._pathsum_symmetric", ("functional.functional_updates",),
      "size = max(1, PATH_CHUNK // ((2 * m + 2) * points * cols))",
      "size = max(1, PATH_CHUNK // functional_updates(n, (m, cols)))"),
-    ("g_m_closed_coincident",
+    ("correlations.g_m_closed_coincident",
+     ("core.apply_field", "core.EmitterGeometry", "core.fully_excited"),
      "mean = angular_average_gm(n, m)",
      "mean = angular_average_gm(n, m) * apply_field(EmitterGeometry(1, 1.0), 0.0,"
      " fully_excited(1)).norm_sq()"),
-    ("_scan_functional",
+    ("functional._scan_functional", ("correlations._phases",),
      "values = np.empty(grid.size, dtype=float)",
      "values = np.empty(grid.size, dtype=float) + 0 * _phases(geometry, np.sin(grid))[0].real"),
 ]
 
 
-@pytest.mark.parametrize("name, old, new", INDEPENDENCE_FAULTS,
+@pytest.mark.parametrize("path, foreign, old, new", INDEPENDENCE_FAULTS,
                          ids=["pathsum-calls-functional", "closed-calls-exact",
                               "functional-calls-pathsum"])
-def test_a_planted_shared_kernel_fails_the_independence_check(name, old, new, monkeypatch):
+def test_a_planted_shared_kernel_fails_the_independence_check(path, foreign, old, new,
+                                                               monkeypatch):
     assert shared_beyond_the_checks() == {}
-    faulty = mutant(getattr(dickesim.correlations, name), old, new)
-    monkeypatch.setattr(dickesim.correlations, name, faulty)
+    home, fn = resolve(path)
+    for _, found in map(resolve, foreign):
+        monkeypatch.setattr(home, found.__name__, found, raising=False)
+    monkeypatch.setattr(home, fn.__name__, mutant(fn, old, new))
     assert shared_beyond_the_checks()
 
 
